@@ -106,14 +106,16 @@ func buildSession(proto string, sc topology.Scenario, verbose, causal bool) *ses
 	sim := eventsim.New()
 	routing := unicast.Compute(sc.Graph)
 	net := netsim.New(sim, sc.Graph, routing)
-	if verbose {
-		net.SetTrace(func(line string) { fmt.Println("   ", line) })
-	}
 	s := &session{sim: sim, net: net, routing: routing}
-	if causal {
+	if verbose || causal {
 		o := obs.New(nil) // SetObserver binds the network's clock
-		s.episodes = obs.NewEpisodeBuilder(0)
-		o.AddSink(s.episodes)
+		if verbose {
+			o.AddSink(obs.NewTextSink(func(line string) { fmt.Println("   ", line) }))
+		}
+		if causal {
+			s.episodes = obs.NewEpisodeBuilder(0)
+			o.AddSink(s.episodes)
+		}
 		net.SetObserver(o)
 	}
 

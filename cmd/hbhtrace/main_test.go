@@ -61,9 +61,9 @@ func TestScenarios(t *testing.T) {
 	}
 }
 
-// TestVerboseTraceRidesObsPipeline: -verbose uses netsim.SetTrace,
-// which is now a TextSink on the observability pipeline — the packet
-// trace must still interleave with the scenario narration.
+// TestVerboseTraceRidesObsPipeline: -verbose installs an obs.TextSink
+// on the observability pipeline — the packet trace must still
+// interleave with the scenario narration.
 func TestVerboseTraceRidesObsPipeline(t *testing.T) {
 	stdout, _, code := runMain(t, "-scenario", "asymmetric-join", "-verbose")
 	if code != 0 {

@@ -10,6 +10,7 @@ import (
 	"hbh/internal/igmp"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/pim"
 	"hbh/internal/reunite"
 	"hbh/internal/topology"
@@ -82,6 +83,7 @@ type Network struct {
 	graph   *topology.Graph
 	routing unicast.Router
 	net     *netsim.Network
+	trace   *obs.TextSink // the SetTrace sink, when one is installed
 }
 
 // NewNetwork builds the delay-shortest routing substrate for g and the
@@ -130,13 +132,27 @@ func (nw *Network) RunFor(d Time) {
 // At schedules fn at absolute virtual time t (e.g. staggered joins).
 func (nw *Network) At(t Time, fn func()) { nw.sim.At(t, fn) }
 
-// SetTrace installs a human-readable event tracer (nil removes it).
+// SetTrace installs a human-readable event tracer (nil removes it): a
+// text sink on the network's observer, created on first use and torn
+// down again once nothing else observes.
 func (nw *Network) SetTrace(fn func(line string)) {
+	o := nw.net.Observer()
+	if nw.trace != nil && o != nil {
+		o.RemoveSink(nw.trace)
+	}
+	nw.trace = nil
 	if fn == nil {
-		nw.net.SetTrace(nil)
+		if o != nil && o.Empty() {
+			nw.net.SetObserver(nil)
+		}
 		return
 	}
-	nw.net.SetTrace(fn)
+	if o == nil {
+		o = obs.New(nil)
+		nw.net.SetObserver(o)
+	}
+	nw.trace = obs.NewTextSink(fn)
+	o.AddSink(nw.trace)
 }
 
 // EnableHBH attaches an HBH protocol engine to every router and

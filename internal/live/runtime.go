@@ -48,44 +48,25 @@ type Config struct {
 	// mailboxes for. nil hosts the whole graph (in-process cluster);
 	// a daemon hosts one router plus its attached hosts.
 	Hosted []topology.NodeID
-
-	// HopLimit is the per-packet hop budget (default
-	// netsim.DefaultHopLimit).
-	HopLimit int
 }
 
-// Stats counts runtime-level packet events, mirroring the netsim
-// counters the experiments read. Snapshot via Runtime.Stats.
-type Stats struct {
-	Transmissions int
-	DataCopies    int
-	Delivered     int
-	DataDelivered int
-	Consumed      int
-	DataConsumed  int
-	HopLimitDrops int
-	NoRouteDrops  int
-	LinkDownDrops int
-	NodeDownDrops int
-	CodecDrops    int
-}
+// Stats is the forwarding plane's counter set, shared with netsim.
+type Stats = netsim.Stats
 
-// Runtime hosts live protocol engines over a transport. Construct
-// with New, attach engines to rt.Node(id) (same Attach* calls as
-// netsim), install a transport (or let Start default to in-process),
-// then Start. In RealMode all post-Start engine access must go
-// through Do or Quiesce.
+// Runtime hosts live protocol engines over a transport: netsim's
+// forwarding plane driven by the live wire. Construct with New, attach
+// engines to rt.Node(id) (same Attach* calls as netsim), install a
+// transport (or let Start default to in-process), then Start. In
+// RealMode all post-Start engine access must go through Do or Quiesce.
 type Runtime struct {
-	mode     Mode
-	g        *topology.Graph
-	routing  unicast.Router
-	sim      *eventsim.Sim
-	unit     time.Duration
-	start    time.Time
-	wall     *clock.Real // RealMode ambient clock (Now for stamping)
-	hopLimit int
+	*netsim.Plane
+	mode  Mode
+	sim   *eventsim.Sim
+	unit  time.Duration
+	start time.Time
+	wall  *clock.Real // RealMode ambient clock (Now for stamping)
 
-	nodes  []*Node // by NodeID; nil when not hosted
+	mbox   []*mailbox // by NodeID; RealMode hosted nodes only
 	trans  Transport
 	hosted []topology.NodeID
 
@@ -93,13 +74,10 @@ type Runtime struct {
 	// dispatch runs under RLock, Quiesce takes the write lock.
 	worldMu sync.RWMutex
 
-	// emitMu serialises the shared observability surface (observer,
-	// taps, stats) across node goroutines.
-	emitMu  sync.Mutex
-	obsv    *obs.Observer
-	taps    []netsim.Tap
-	delTaps []netsim.DeliveryTap
-	stats   Stats
+	// emitMu is the plane's emission lock: it serialises the shared
+	// observability surface (observer, taps, stats) across node
+	// goroutines.
+	emitMu sync.Mutex
 
 	// faultMu guards the runtime fault overlay. The shared graph is
 	// frozen and never mutated here — faults are a runtime concept so
@@ -114,21 +92,13 @@ type Runtime struct {
 
 // New builds a runtime over a frozen graph and its routing tables.
 func New(cfg Config) *Runtime {
-	if cfg.Routing.Graph() != cfg.Graph {
-		panic("live: routing tables computed for a different graph")
-	}
 	rt := &Runtime{
-		g:        cfg.Graph,
-		routing:  cfg.Routing,
 		sim:      cfg.Sim,
 		unit:     cfg.Unit,
-		hopLimit: cfg.HopLimit,
 		nodeDown: make(map[topology.NodeID]bool),
 		linkDown: make(map[[2]topology.NodeID]bool),
 	}
-	if rt.hopLimit == 0 {
-		rt.hopLimit = netsim.DefaultHopLimit
-	}
+	rt.Plane = netsim.NewPlane(cfg.Graph, cfg.Routing, (*wire)(rt), &rt.emitMu)
 	if rt.sim != nil {
 		rt.mode = SimMode
 	} else {
@@ -138,6 +108,7 @@ func New(cfg Config) *Runtime {
 		}
 		rt.start = time.Now()
 		rt.wall = clock.NewRealAt(rt.start, rt.unit, nil)
+		rt.mbox = make([]*mailbox, cfg.Graph.NumNodes())
 	}
 	hosted := cfg.Hosted
 	if hosted == nil {
@@ -146,17 +117,15 @@ func New(cfg Config) *Runtime {
 		}
 	}
 	rt.hosted = hosted
-	rt.nodes = make([]*Node, cfg.Graph.NumNodes())
 	for _, id := range hosted {
-		nd := cfg.Graph.Node(id)
-		ln := &Node{rt: rt, id: id, addr: nd.Addr, name: nd.Name}
+		var clk clock.Clock
 		if rt.mode == SimMode {
-			ln.clk = clock.Sim(rt.sim)
+			clk = clock.Sim(rt.sim)
 		} else {
-			ln.mbox = newMailbox()
-			ln.clk = clock.NewRealAt(rt.start, rt.unit, ln.mbox.enqueue)
+			rt.mbox[id] = newMailbox()
+			clk = clock.NewRealAt(rt.start, rt.unit, rt.mbox[id].enqueue)
 		}
-		rt.nodes[id] = ln
+		rt.AddNode(id, clk, new(obs.Causal))
 	}
 	return rt
 }
@@ -165,8 +134,8 @@ func New(cfg Config) *Runtime {
 func (rt *Runtime) Mode() Mode { return rt.mode }
 
 // Node returns the hosted node, panicking on a non-hosted ID.
-func (rt *Runtime) Node(id topology.NodeID) *Node {
-	n := rt.nodes[id]
+func (rt *Runtime) Node(id topology.NodeID) *netsim.Node {
+	n := rt.Plane.Node(id)
 	if n == nil {
 		panic(fmt.Sprintf("live: node %d not hosted by this runtime", id))
 	}
@@ -191,7 +160,6 @@ func (rt *Runtime) Transport() Transport { return rt.trans }
 // clock to the runtime's. Emission from node goroutines is
 // serialised internally.
 func (rt *Runtime) SetObserver(o *obs.Observer) {
-	rt.obsv = o
 	if o != nil {
 		o.SetNow(rt.Now)
 		// Engine code (receiver spans, protocol annotations) emits into
@@ -206,19 +174,8 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 			lt.SetDirect(true)
 		}
 	}
+	rt.Plane.SetObserver(o)
 }
-
-// Observer returns the attached observer, or nil.
-func (rt *Runtime) Observer() *obs.Observer { return rt.obsv }
-
-// Topology returns the graph (invariant.Network).
-func (rt *Runtime) Topology() *topology.Graph { return rt.g }
-
-// Routing returns the unicast substrate (invariant.Network).
-func (rt *Runtime) Routing() unicast.Router { return rt.routing }
-
-// NodeName resolves a node's label (invariant.Network).
-func (rt *Runtime) NodeName(id topology.NodeID) string { return rt.g.Node(id).Name }
 
 // Now returns the current time in virtual units (invariant.Network).
 func (rt *Runtime) Now() eventsim.Time {
@@ -260,28 +217,6 @@ func (rt *Runtime) ObsLocked(fn func()) {
 	fn()
 }
 
-// AddTap registers a link tap (invariant.Network). Taps run under the
-// runtime's emission lock.
-func (rt *Runtime) AddTap(t netsim.Tap) {
-	rt.emitMu.Lock()
-	rt.taps = append(rt.taps, t)
-	rt.emitMu.Unlock()
-}
-
-// AddDeliveryTap registers a delivery tap (invariant.Network).
-func (rt *Runtime) AddDeliveryTap(t netsim.DeliveryTap) {
-	rt.emitMu.Lock()
-	rt.delTaps = append(rt.delTaps, t)
-	rt.emitMu.Unlock()
-}
-
-// Stats snapshots the runtime counters.
-func (rt *Runtime) Stats() Stats {
-	rt.emitMu.Lock()
-	defer rt.emitMu.Unlock()
-	return rt.stats
-}
-
 // SetNodeUp marks a hosted-or-remote node up or down in the runtime
 // fault overlay (safe to call concurrently).
 func (rt *Runtime) SetNodeUp(id topology.NodeID, up bool) {
@@ -308,23 +243,6 @@ func (rt *Runtime) SetLinkUp(a, b topology.NodeID, up bool) {
 	rt.faultMu.Unlock()
 }
 
-func (rt *Runtime) isNodeDown(id topology.NodeID) bool {
-	rt.faultMu.RLock()
-	down := rt.nodeDown[id]
-	rt.faultMu.RUnlock()
-	return down
-}
-
-func (rt *Runtime) isLinkUp(a, b topology.NodeID) bool {
-	if !rt.g.LinkEnabled(a, b) {
-		return false
-	}
-	rt.faultMu.RLock()
-	down := rt.linkDown[[2]topology.NodeID{a, b}]
-	rt.faultMu.RUnlock()
-	return !down
-}
-
 // Start launches the runtime: defaults the transport to in-process
 // delivery and, in RealMode, spawns the node goroutines.
 func (rt *Runtime) Start() {
@@ -341,7 +259,7 @@ func (rt *Runtime) Start() {
 	}
 	if rt.mode == RealMode {
 		for _, id := range rt.hosted {
-			rt.nodes[id].mbox.start(rt)
+			rt.mbox[id].start(rt)
 		}
 	}
 }
@@ -358,10 +276,10 @@ func (rt *Runtime) Stop() {
 	}
 	if rt.mode == RealMode {
 		for _, id := range rt.hosted {
-			rt.nodes[id].mbox.close()
+			rt.mbox[id].close()
 		}
 		for _, id := range rt.hosted {
-			rt.nodes[id].mbox.wait()
+			rt.mbox[id].wait()
 		}
 	}
 }
@@ -371,13 +289,13 @@ func (rt *Runtime) Stop() {
 // receiver, read a table). In SimMode fn runs inline. Calling Do from
 // a node goroutine deadlocks — engines must not use it.
 func (rt *Runtime) Do(id topology.NodeID, fn func()) {
-	nd := rt.Node(id)
+	rt.Node(id) // panics on a node this runtime does not host
 	if rt.mode == SimMode || !rt.started {
 		fn()
 		return
 	}
 	done := make(chan struct{})
-	nd.mbox.enqueue(func() {
+	rt.mbox[id].enqueue(func() {
 		fn()
 		close(done)
 	})
@@ -400,222 +318,114 @@ func (rt *Runtime) Quiesce(fn func()) {
 // HandleFrame ingests a frame addressed to hosted node to. Transports
 // call it from their receive path; it charges the link cost as
 // arrival delay on the destination's clock, exactly as netsim charges
-// cost on the wire.
+// cost on the wire. The sender named in the frame comes off the
+// network, so a frame from outside the topology or from a non-neighbour
+// is rejected (and counted) before it can touch the plane; link state
+// is not checked here — like netsim, a packet already in flight lands
+// even if its link went down behind it.
 func (rt *Runtime) HandleFrame(to topology.NodeID, frame []byte) {
-	nd := rt.nodes[to]
+	nd := rt.Plane.Node(to)
 	if nd == nil {
 		return // not hosted here; a misrouted or stale frame
 	}
+	g := rt.Topology()
 	fm, msg, err := decodeFrame(frame)
-	if err != nil {
-		rt.emitMu.Lock()
-		rt.stats.CodecDrops++
-		rt.emitMu.Unlock()
+	switch {
+	case err != nil:
+		rt.Count(func(s *Stats) { s.CodecDrops++ })
+		return
+	case int(fm.from) >= g.NumNodes():
+		rt.Count(func(s *Stats) { s.RangeRejects++ })
+		return
+	case !g.HasLink(fm.from, to):
+		rt.Count(func(s *Stats) { s.AdjRejects++ })
 		return
 	}
-	fm.wire = true
-	cost := rt.g.Cost(fm.from, to)
-	nd.clk.After(eventsim.Time(cost), func() {
-		rt.arrive(nd, fm, msg)
+	env := &netsim.Envelope{Msg: msg, Hops: fm.ttl, Cause: fm.cause, OrigAt: fm.origAt}
+	nd.Clock().After(eventsim.Time(g.Cost(fm.from, to)), func() {
+		if lt := rt.latency(); lt != nil && fm.hopAt != 0 {
+			rt.emitMu.Lock()
+			lt.ObserveHop(rt.stampDelta(fm.hopAt))
+			rt.emitMu.Unlock()
+		}
+		rt.land(nd, env)
 	})
 }
 
-// emitMsg emits one packet-level event under the emission lock,
-// stamped with the acting node's ambient causal context, and returns
-// the event's step (0 with no observer) so callers can chain a
-// packet's in-flight causal pair to it — the mirror of netsim's
-// emitMsg.
-func (rt *Runtime) emitMsg(kind obs.Kind, cause obs.Cause, nd *Node, peer topology.NodeID, msg packet.Message) obs.StepID {
-	if rt.obsv == nil {
-		return 0
+// latency returns the observer's latency tracker, or nil.
+func (rt *Runtime) latency() *obs.Latency {
+	if o := rt.Observer(); o != nil {
+		return o.Latency()
 	}
-	ev := obs.Event{Kind: kind, Cause: cause, Msg: msg}
-	ev.Node = nd.addr
-	ev.NodeName = nd.name
-	if peer != topology.None {
-		p := rt.g.Node(peer)
-		ev.Peer = p.Addr
-		ev.PeerName = p.Name
-	}
-	ev.Channel = msg.Hdr().Channel
-	if d, ok := msg.(*packet.Data); ok {
-		ev.Seq = d.Seq
-	}
-	ev.Episode = nd.cur.Episode
-	ev.ParentStep = nd.cur.Step
-	ev.Step = rt.obsv.NewStep()
-	rt.obsv.EmitLocked(ev)
-	return ev.Step
+	return nil
 }
 
-// arrive processes msg at nd: handlers first, then local delivery or
-// onward forwarding — the same decision ladder as netsim.arrive. The
-// frame's causal pair becomes the node's ambient context for the
-// dispatch (netsim's envelope.Fire does the same), so everything the
-// packet causes here chains to the hop that delivered it — even when
-// that hop ran in another process.
-func (rt *Runtime) arrive(nd *Node, fm frameMeta, msg packet.Message) {
-	prev := nd.cur
-	nd.cur = fm.cause
-	defer func() { nd.cur = prev }()
-	if fm.wire && fm.hopAt != 0 && rt.obsv != nil {
-		rt.emitMu.Lock()
-		if lt := rt.obsv.Latency(); lt != nil {
-			lt.ObserveHop(rt.stampDelta(fm.hopAt))
-		}
-		rt.emitMu.Unlock()
-	}
-	if rt.isNodeDown(nd.id) {
-		rt.emitMu.Lock()
-		rt.stats.NodeDownDrops++
-		rt.emitMu.Unlock()
-		rt.withEmit(func() { rt.emitMsg(obs.KindDrop, obs.CauseNodeDown, nd, topology.None, msg) })
-		return
-	}
-	for _, h := range nd.handlers {
-		if h.Handle(nd, msg) == netsim.Consumed {
+// land runs an arrival through the plane. A data packet that
+// terminates here samples the end-to-end delivery delay from its
+// frame's origination stamp.
+func (rt *Runtime) land(nd *netsim.Node, env *netsim.Envelope) {
+	_, isData := env.Msg.(*packet.Data)
+	if rt.Arrive(nd, env) && isData && env.OrigAt != 0 {
+		if lt := rt.latency(); lt != nil {
 			rt.emitMu.Lock()
-			rt.stats.Consumed++
-			if _, isData := msg.(*packet.Data); isData {
-				rt.stats.DataConsumed++
-				rt.observeDeliveryLocked(fm)
-			}
-			if rt.obsv != nil {
-				rt.emitMsg(obs.KindConsume, obs.CauseNone, nd, topology.None, msg)
-			}
-			for _, t := range rt.delTaps {
-				t(nd.id, msg, true)
-			}
+			lt.ObserveDelivery(rt.stampDelta(env.OrigAt))
 			rt.emitMu.Unlock()
-			return
 		}
-	}
-	hdr := msg.Hdr()
-	if hdr.Dst == nd.addr {
-		rt.emitMu.Lock()
-		rt.stats.Delivered++
-		if _, isData := msg.(*packet.Data); isData {
-			rt.stats.DataDelivered++
-			rt.observeDeliveryLocked(fm)
-		}
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDeliver, obs.CauseNone, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
-		if nd.deliver != nil {
-			nd.deliver(nd, msg)
-		}
-		rt.emitMu.Lock()
-		for _, t := range rt.delTaps {
-			t(nd.id, msg, false)
-		}
-		rt.emitMu.Unlock()
-		return
-	}
-	if !hdr.Dst.IsUnicast() {
-		rt.emitMu.Lock()
-		rt.stats.NoRouteDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseUnclaimedMulticast, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
-		return
-	}
-	rt.forward(nd, fm, msg)
-}
-
-// observeDeliveryLocked samples the end-to-end delivery delay of a
-// data packet from its frame origination stamp. Caller holds emitMu.
-func (rt *Runtime) observeDeliveryLocked(fm frameMeta) {
-	if fm.origAt == 0 || rt.obsv == nil {
-		return
-	}
-	if lt := rt.obsv.Latency(); lt != nil {
-		lt.ObserveDelivery(rt.stampDelta(fm.origAt))
 	}
 }
 
-// withEmit runs fn under the emission lock when an observer is attached.
-func (rt *Runtime) withEmit(fn func()) {
-	if rt.obsv == nil {
-		return
-	}
-	rt.emitMu.Lock()
-	fn()
-	rt.emitMu.Unlock()
+// wire is the live runtime's half of the forwarding plane: every
+// traversal is marshalled fresh (the live runtime always exercises the
+// real wire codec), framed with the packet's hop budget, causal pair
+// and timestamps, and handed to the Transport; it lands through
+// HandleFrame on the receiver's clock. Faults come from the runtime
+// overlay.
+type wire Runtime
+
+func (w *wire) NodeUp(id topology.NodeID) bool {
+	w.faultMu.RLock()
+	down := w.nodeDown[id]
+	w.faultMu.RUnlock()
+	return !down
 }
 
-// forward routes msg one hop toward its unicast destination.
-func (rt *Runtime) forward(nd *Node, fm frameMeta, msg packet.Message) {
-	dst, ok := rt.g.ByAddr(msg.Hdr().Dst)
-	if !ok || !rt.routing.Reachable(nd.id, dst) {
-		rt.emitMu.Lock()
-		rt.stats.NoRouteDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseNoRoute, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
-		return
+func (w *wire) LinkUp(a, b topology.NodeID) bool {
+	if !w.Topology().LinkEnabled(a, b) {
+		return false
 	}
-	next := rt.routing.NextHop(nd.id, dst)
-	rt.transmit(nd, next, fm, msg)
+	w.faultMu.RLock()
+	down := w.linkDown[[2]topology.NodeID{a, b}]
+	w.faultMu.RUnlock()
+	return !down
 }
 
-// transmit frames msg and hands it to the transport, charging one
-// unit of hop budget. The packet is marshalled fresh every hop: the
-// live runtime always exercises the real wire codec. The outgoing
-// frame carries the packet's causal pair — parented at this forward
-// event, exactly as netsim's emitEnv advances the envelope's step —
-// and a fresh last-hop timestamp.
-func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg packet.Message) {
-	if fm.ttl <= 0 {
-		rt.emitMu.Lock()
-		rt.stats.HopLimitDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseHopLimit, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
-		return
-	}
-	fm.ttl--
-	if !rt.isLinkUp(nd.id, to) {
-		rt.emitMu.Lock()
-		rt.stats.LinkDownDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseLinkDown, nd, to, msg)
-		}
-		rt.emitMu.Unlock()
-		return
-	}
-	if rt.g.Cost(nd.id, to) == 0 {
-		panic(fmt.Sprintf("live: transmit over missing link %d->%d", nd.id, to))
-	}
-	wire, err := packet.Marshal(msg)
+func (w *wire) Envelope(msg packet.Message) *netsim.Envelope {
+	return &netsim.Envelope{Msg: msg, OrigAt: (*Runtime)(w).stampNow()}
+}
+
+// Admit passes everything: the live wire has no loss stages of its
+// own beyond what the real transport loses.
+func (w *wire) Admit(*netsim.Node, topology.NodeID, *netsim.Envelope) bool { return true }
+
+func (w *wire) Send(from, to topology.NodeID, env *netsim.Envelope) {
+	rt := (*Runtime)(w)
+	buf, err := packet.Marshal(env.Msg)
 	if err != nil {
-		panic(fmt.Sprintf("live: marshal on %d->%d: %v", nd.id, to, err))
+		panic(fmt.Sprintf("live: marshal on %d->%d: %v", from, to, err))
 	}
-	rt.emitMu.Lock()
-	rt.stats.Transmissions++
-	if _, isData := msg.(*packet.Data); isData {
-		rt.stats.DataCopies++
+	fm := frameMeta{from: from, ttl: env.Hops, cause: env.Cause, origAt: env.OrigAt, hopAt: rt.stampNow()}
+	if rt.trans.Send(from, to, encodeFrame(fm, buf)) != nil {
+		rt.Count(func(s *Stats) { s.SendErrors++ })
 	}
-	for _, tap := range rt.taps {
-		tap(nd.id, to, msg)
-	}
-	if rt.obsv != nil {
-		// Emit under the frame's causal context (netsim's emitEnv swap)
-		// and advance the frame's step to the forward event, so the next
-		// hop — possibly in another process — chains to it.
-		saved := nd.cur
-		nd.cur = fm.cause
-		fm.cause.Step = rt.emitMsg(obs.KindForward, obs.CauseNone, nd, to, msg)
-		nd.cur = saved
-	}
-	rt.emitMu.Unlock()
-	fm.from = nd.id
-	fm.hopAt = rt.stampNow()
-	rt.trans.Send(nd.id, to, encodeFrame(fm, wire))
 }
+
+// Loop re-processes a self-addressed packet in a fresh dispatch on the
+// node's own clock, for causal order.
+func (w *wire) Loop(nd *netsim.Node, env *netsim.Envelope) {
+	nd.Clock().After(0, func() { (*Runtime)(w).land(nd, env) })
+}
+
+func (w *wire) Release(*netsim.Envelope) {}
 
 // mailbox is an unbounded FIFO work queue with one consumer
 // goroutine: a router's serialised execution context. Unbounded on

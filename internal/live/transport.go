@@ -2,11 +2,13 @@
 // goroutine per hosted router/host over a real transport, instead of
 // the single-threaded virtual-time loop in netsim. The engines
 // themselves are untouched — they program against netsim.ProtoNode
-// and clock.Clock, and this package supplies the live implementations
-// of both. Run under the simulated clock and the in-process transport
-// the runtime is deterministic and provably equivalent to the netsim
-// path (see equivalence_test.go); run under the wall clock and UDP it
-// is the hbhd daemon's engine room.
+// and clock.Clock — and so is the per-hop decision ladder: this
+// package drives netsim's forwarding plane with its own wire (frame
+// codec, Transport, arrivals on the receiver's clock) and supplies
+// real clocks. Run under the simulated clock and the in-process
+// transport the runtime is deterministic and provably equivalent to
+// the netsim path (see equivalence_test.go); run under the wall clock
+// and UDP it is the hbhd daemon's engine room.
 package live
 
 import (
@@ -52,10 +54,6 @@ type frameMeta struct {
 	// (a frame from a pre-telemetry sender decodes as zero).
 	origAt int64
 	hopAt  int64
-	// wire marks a frame that actually crossed the transport (set by
-	// HandleFrame); self-deliveries re-processed in a fresh dispatch
-	// never had a hop to measure.
-	wire bool
 }
 
 // encodeFrame prepends the transport framing to a marshalled packet.

@@ -86,22 +86,25 @@ func (n *Network) SetAdversary(a Adversary) {
 	n.adv = &advState{cfg: a}
 }
 
-// roll decides one control traversal's fate: dropped, or forwarded
-// with jitter and possibly duplicated. Draw order is fixed (burst,
-// uniform loss, jitter, duplicate, duplicate's jitter) so a seeded
-// schedule is bit-reproducible.
-func (s *advState) roll() (drop bool, jitter, dupJitter eventsim.Time, dup bool) {
+// lose decides whether the adversary swallows one control traversal;
+// perturb then draws a survivor's jitter and duplication. Draw order
+// is fixed (burst, uniform loss, jitter, duplicate, duplicate's
+// jitter) so a seeded schedule is bit-reproducible.
+func (s *advState) lose() bool {
 	cfg := &s.cfg
 	switch {
 	case s.burstLeft > 0:
 		s.burstLeft--
-		return true, 0, 0, false
+		return true
 	case cfg.BurstStart > 0 && cfg.RNG.Float64() < cfg.BurstStart:
 		s.burstLeft = cfg.BurstLen - 1
-		return true, 0, 0, false
-	case cfg.Loss > 0 && cfg.RNG.Float64() < cfg.Loss:
-		return true, 0, 0, false
+		return true
 	}
+	return cfg.Loss > 0 && cfg.RNG.Float64() < cfg.Loss
+}
+
+func (s *advState) perturb() (jitter, dupJitter eventsim.Time, dup bool) {
+	cfg := &s.cfg
 	if cfg.MaxJitter > 0 {
 		jitter = eventsim.Time(cfg.RNG.Float64() * float64(cfg.MaxJitter))
 	}
@@ -111,7 +114,7 @@ func (s *advState) roll() (drop bool, jitter, dupJitter eventsim.Time, dup bool)
 			dupJitter = eventsim.Time(cfg.RNG.Float64() * float64(cfg.MaxJitter))
 		}
 	}
-	return false, jitter, dupJitter, dup
+	return jitter, dupJitter, dup
 }
 
 // duplicate injects the adversary's second copy of an in-flight
@@ -123,8 +126,8 @@ func (s *advState) roll() (drop bool, jitter, dupJitter eventsim.Time, dup bool)
 // the convergence ledger the copy is an origination (KindSendDirect):
 // it adds one in-flight control message that will meet its own
 // terminal event, keeping Outstanding balanced.
-func (n *Network) duplicate(from, to topology.NodeID, env *envelope, delay eventsim.Time) {
-	buf, err := packet.Marshal(env.msg)
+func (n *Network) duplicate(from, to topology.NodeID, env *Envelope, delay eventsim.Time) {
+	buf, err := packet.Marshal(env.Msg)
 	if err != nil {
 		panic(fmt.Sprintf("netsim: adversary dup marshal on %d->%d: %v", from, to, err))
 	}
@@ -132,18 +135,17 @@ func (n *Network) duplicate(from, to topology.NodeID, env *envelope, delay event
 	if err != nil {
 		panic(fmt.Sprintf("netsim: adversary dup unmarshal on %d->%d: %v", from, to, err))
 	}
-	d := n.newEnvelope(msg)
-	d.hops = env.hops
-	d.cause = env.cause
-	d.to = to
+	d := (*simWire)(n).Envelope(msg)
+	d.Hops, d.Cause, d.to = env.Hops, env.Cause, to
 	n.stats.Transmissions++
 	n.stats.AdvDups++
 	for _, tap := range n.taps {
 		tap(from, to, msg)
 	}
 	if n.obsv != nil {
-		n.emitEnv(obs.KindSendDirect, obs.CauseNone, n.nodes[from], n.nodes[to], d)
-		n.emitEnv(obs.KindForward, obs.CauseNone, n.nodes[from], n.nodes[to], d)
+		nd := n.nodes[from]
+		n.emit(obs.KindSendDirect, obs.CauseNone, nd, to, msg, d.Cause)
+		d.Cause.Step = n.emit(obs.KindForward, obs.CauseNone, nd, to, msg, d.Cause)
 	}
 	n.sim.AfterCall(delay, d)
 }
