@@ -144,6 +144,31 @@ func TestGoldenRobustnessQuick(t *testing.T) {
 	goldenCompare(t, "robustness_runs3.txt", stdout)
 }
 
+// TestGoldenExtensionsQuick pins the A1–A9 extension tables, which
+// share the session wiring with the paper figures but have no other
+// byte-level regression test.
+func TestGoldenExtensionsQuick(t *testing.T) {
+	for _, tc := range []struct{ figure, golden string }{
+		{"ablation-fusion", "a1_ablation_runs3.txt"},
+		{"unicast-clouds", "a2_clouds_runs3.txt"},
+		{"asymmetry-sweep", "a3_asym_runs3.txt"},
+		{"forwarding-state", "a4_state_runs3.txt"},
+		{"control-overhead", "a5_overhead_runs3.txt"},
+		{"loss-robustness", "a6_loss_runs3.txt"},
+		{"qos", "a7_qos_runs3.txt"},
+		{"cross-topo", "a8_crosstopo_runs3.txt"},
+		{"delay-tail", "a9_delaytail_runs3.txt"},
+	} {
+		t.Run(tc.figure, func(t *testing.T) {
+			stdout, _, code := runMain(t, "-figure", tc.figure, "-runs", "3")
+			if code != 0 {
+				t.Fatalf("exit code %d, want 0", code)
+			}
+			goldenCompare(t, tc.golden, stdout)
+		})
+	}
+}
+
 // TestGoldenManyChannelQuick pins the A14 sweep at toy tiers. The
 // table must be byte-identical at any -workers value (the sharded
 // executor's determinism contract), so the golden also guards the
