@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"hbh/internal/metrics"
 )
 
 // TestConvergenceExperimentShape: the A11 profile produces one cell
@@ -59,5 +61,21 @@ func TestConvergenceExperimentDeterministic(t *testing.T) {
 	b := ConvergenceExperiment(ConvergenceConfig{Receivers: 3, Runs: 1, Seed: 7}).FormatTable()
 	if a != b {
 		t.Fatalf("profile not reproducible at a fixed seed:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestConvergenceCappedIsDetectorVerdict: on isp with asymmetric costs,
+// REUNITE at seed 48809 goes quiescent on exactly its 40th interval —
+// the cap. The run converged, so the capped column must not count it.
+func TestConvergenceCappedIsDetectorVerdict(t *testing.T) {
+	cell := &convergenceCell{
+		Topo: TopoISP, Asym: true, Protocol: REUNITE,
+		JoinTime: &metrics.Accumulator{}, CtrlMsgs: &metrics.Accumulator{},
+		CtrlHops: &metrics.Accumulator{}, CtrlBytes: &metrics.Accumulator{},
+		ReconvTime: &metrics.Accumulator{}, Healed: &metrics.Accumulator{},
+	}
+	convergenceRun(ConvergenceConfig{Receivers: 8}, cell, 48809)
+	if cell.Capped != 0 {
+		t.Errorf("run that quiesced on its last allowed interval counted as capped")
 	}
 }
