@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"fmt"
 	"os"
 
 	"hbh/internal/addr"
-	"hbh/internal/invariant"
-	"hbh/internal/mtree"
 	"hbh/internal/topology"
 )
 
@@ -40,55 +37,4 @@ func memberAddrs(g *topology.Graph, members []topology.NodeID) []addr.Addr {
 		out = append(out, g.Node(m).Addr)
 	}
 	return out
-}
-
-// checkConverged runs the checkpoint invariants and aborts on any
-// violation. No-op when the session runs unchecked.
-//
-// The measured probe is taken at the paper's fixed settling time so
-// results stay comparable (and bit-identical with checking off), but on
-// some seeds the relay-collapse cascade is still in flight there — a
-// soft-state transient with extra copies, not a violation. The
-// invariants the paper claims are properties of the protocol's fixed
-// point, so the checker first quiesces (runs until a few refresh
-// intervals pass without any forwarding-state change) and validates a
-// separate verification probe. A protocol that never stops mutating
-// state gets checked mid-flight after the attempt cap and fails, as it
-// should.
-func (s *dynSession) checkConverged(cfg RunConfig, res *mtree.Result) {
-	if s.checker == nil {
-		return
-	}
-	last := -1
-	for i := 0; i < 64 && *s.changes != last; i++ {
-		last = *s.changes
-		converge(s.sim, s.interval, 4)
-	}
-	vres := s.Probe()
-	s.checker.CheckConverged(vres.Seq)
-	s.checker.MustClean(fmt.Sprintf("%s on %s (seed=%d receivers=%d)",
-		cfg.Protocol, cfg.Topo, cfg.Seed, cfg.Receivers))
-}
-
-// profileFor returns the invariant profile a protocol's runs are held
-// to. PIM-SM drops the per-link uniqueness check: its source->RP
-// unicast leg may legitimately share links with the shared tree, so a
-// second copy there is the protocol's documented cost, not a bug.
-func profileFor(p Protocol) invariant.Config {
-	switch p {
-	case HBH:
-		return invariant.ProfileHBH()
-	case HBHNoFusion:
-		return invariant.ProfileHBHNoFusion()
-	case REUNITE:
-		return invariant.ProfileREUNITE()
-	case PIMSS:
-		return invariant.ProfilePIM()
-	case PIMSM:
-		c := invariant.ProfilePIM()
-		c.LinkUnique = false
-		return c
-	default:
-		panic(fmt.Sprintf("experiment: no invariant profile for %q", p))
-	}
 }

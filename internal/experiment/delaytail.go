@@ -5,14 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"hbh/internal/addr"
-	"hbh/internal/eventsim"
 	"hbh/internal/metrics"
-	"hbh/internal/mtree"
-	"hbh/internal/netsim"
-	"hbh/internal/pim"
-	"hbh/internal/topology"
-	"hbh/internal/unicast"
 )
 
 // DelayTailResult holds per-protocol delay distributions for the A9
@@ -41,36 +34,11 @@ func DelayTail(runs int, seed int64) *DelayTailResult {
 
 	for run := 0; run < runs; run++ {
 		s := seed + int64(run)*7919
-		rng := rand.New(rand.NewSource(s))
-		g := BaseGraph(TopoISP).Clone()
-		g.RandomizeCosts(rng, 1, 10)
-		routing := unicast.Compute(g)
-		sourceHost := sourceHostOf(g)
-		members := sampleReceivers(g, rng, sourceHost, 8)
-
-		// Dynamic protocols.
-		for _, p := range []Protocol{REUNITE, HBH} {
-			prng := rand.New(rand.NewSource(s))
-			sess := setupDyn(RunConfig{Topo: TopoISP, Protocol: p, Receivers: 8, Seed: s},
-				g, routing, sourceHost, members, prng)
-			converge(sess.sim, sess.interval, defaultConvergeIntervals)
-			pr := sess.ProbeSettled()
-			for _, d := range pr.Delays {
+		sp := runSpec(RunConfig{Topo: TopoISP, Receivers: 8, Seed: s})
+		for _, p := range []Protocol{REUNITE, HBH, PIMSM, PIMSS} {
+			sp.Protocol, sp.rng = p, rand.New(rand.NewSource(s))
+			for _, d := range newSession(sp).measure(defaultConvergeIntervals).Delays {
 				res.Dists[string(p)].Add(float64(d))
-			}
-		}
-		// PIM baselines.
-		for _, mode := range []pim.Mode{pim.SM, pim.SS} {
-			sim := eventsim.New()
-			net := netsim.New(sim, g, routing)
-			sess := pim.Build(net, mode, sourceHost, addr.GroupAddr(0), members, topology.None)
-			ms := make([]mtree.Member, 0, len(members))
-			for _, m := range members {
-				ms = append(ms, sess.Member(m))
-			}
-			pr := mtree.Probe(net, func() uint32 { return sess.SendData(nil) }, ms)
-			for _, d := range pr.Delays {
-				res.Dists[mode.String()].Add(float64(d))
 			}
 		}
 	}

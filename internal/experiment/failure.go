@@ -2,18 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"hbh/internal/addr"
-	"hbh/internal/clock"
 	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/faults"
-	"hbh/internal/invariant"
 	"hbh/internal/metrics"
 	"hbh/internal/mtree"
-	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -117,15 +112,6 @@ func FailureExperiment(cfg FailureConfig) *FailureResult {
 }
 
 func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
-	rng := rand.New(rand.NewSource(seed))
-	g := BaseGraph(cfg.Topo).Clone()
-	g.RandomizeCosts(rng, 1, 10)
-	routing := unicast.Compute(g)
-	sourceHost := sourceHostOf(g)
-	memberHosts := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
-
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
 	// The convergence detector decides when the tree has settled; a run
 	// without a caller-supplied observer gets a private one carrying
 	// only the tracker. Observation consumes no randomness and schedules
@@ -136,42 +122,9 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	}
 	tr := o.EnableConvergence()
 	tr.Reset()
-	net.SetObserver(o)
-	pcfg := core.DefaultConfig()
-	routers := make(map[topology.NodeID]*core.Router)
-	for _, r := range g.Routers() {
-		routers[r] = core.AttachRouter(net.Node(r), pcfg)
-	}
-	src := core.AttachSource(net.Node(sourceHost), addr.GroupAddr(0), pcfg)
-	var chk *invariant.Checker
-	chkChanges := 0
-	if CheckInvariants {
-		routerList := make([]*core.Router, 0, len(routers))
-		for _, id := range g.Routers() {
-			routerList = append(routerList, routers[id])
-		}
-		chk = invariant.New(net, src.Channel(), invariant.ProfileHBH(),
-			core.NewAudit(src, routerList))
-		chk.SetMembers(memberAddrs(g, memberHosts))
-		invariant.InstallContinuous(sim, chk)
-		obs := func(addr.Addr, addr.Channel, core.ChangeKind, addr.Addr) {
-			chkChanges++
-			chk.MarkDirty()
-		}
-		src.SetObserver(obs)
-		for _, r := range routers {
-			r.SetObserver(obs)
-		}
-		wireEpisode(chk, net)
-	}
-	members := make([]mtree.Member, 0, len(memberHosts))
-	rcvs := make([]*core.Receiver, 0, len(memberHosts))
-	for _, m := range memberHosts {
-		rcv := core.AttachReceiver(net.Node(m), src.Channel(), pcfg)
-		sim.At(eventsim.Time(rng.Float64())*pcfg.JoinInterval, rcv.Join)
-		members = append(members, rcv)
-		rcvs = append(rcvs, rcv)
-	}
+	sp := runSpec(RunConfig{Topo: cfg.Topo, Protocol: HBH, Receivers: cfg.Receivers, Seed: seed, Obs: o})
+	g, sourceHost, memberHosts := sp.g, sp.src, sp.hosts
+	s := newSession(sp)
 	// Detector-driven settling: the fixed 40-interval budget could
 	// under-wait the 50-node random topology (long fusion and expiry
 	// cascades) and always over-waited the ISP one. convergeMeasured
@@ -179,7 +132,7 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	// count as the hard cap; a run that exhausts even the cap without
 	// settling — the case the fixed budget silently mismeasured — is
 	// logged through the observer.
-	convAt, _, settled := convergeMeasured(sim, tr, src.Channel(), pcfg.TreeInterval, defaultConvergeIntervals)
+	convAt, _, settled := s.convergeMeasured(tr, defaultConvergeIntervals)
 	if !settled {
 		o.Notef("convergence exceeded the fixed %d-interval settling budget (last table mutation at %.1f, control traffic still in flight)",
 			defaultConvergeIntervals, float64(convAt))
@@ -187,11 +140,7 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 
 	// The fault targets come from the actual converged tree, not the
 	// topology: the cut must hit a branch that is carrying traffic.
-	pre := mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	for attempt := 0; attempt < 3 && !pre.Complete(); attempt++ {
-		converge(sim, pcfg.TreeInterval, 8)
-		pre = mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	}
+	pre := s.probeUntil((*mtree.Result).Complete)
 	sc := cfg.Scenario
 	if sc == "" {
 		sc = ScenarioCombined
@@ -202,8 +151,8 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	// Timeline, in soft-state generations after the converged start.
 	// Skipped phases keep their slots so every scenario measures over
 	// the same windows.
-	gen := pcfg.T1 + pcfg.T2
-	t0 := sim.Now()
+	gen := eventsim.Time(res.Gen)
+	t0 := s.sim.Now()
 	tCut := t0 + 2*gen
 	tFix := tCut + 8*gen
 	tCrash := tFix + 4*gen
@@ -219,32 +168,19 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 		crash := pickCrashRouter(g, pre, sourceHost, memberHosts)
 		plan.NodeDown(tCrash, crash).NodeUp(tUp, crash)
 	}
-	in := faults.NewInjector(net, plan)
-	in.OnNodeDown(func(v topology.NodeID) { routers[v].Reset() })
+	in := faults.NewInjector(s.net, plan)
+	in.OnNodeDown(s.reset)
 	in.Schedule()
 
 	// Periodic data probes feed the delivery matrix; receivers log
 	// every arrival, and the sequence numbers map arrivals back to
 	// probe indices afterwards.
-	dm := metrics.NewDeliveryMatrix(len(members))
-	seqToProbe := make(map[uint32]int)
-	probeEvery := pcfg.TreeInterval / 2
-	ticker := clock.NewTicker(clock.Sim(sim), probeEvery, func() {
-		seqToProbe[src.SendData(nil)] = dm.Sent(float64(sim.Now()))
-	})
-	sim.At(tEnd, ticker.Stop)
-
-	statsBefore := net.Stats()
-	if err := sim.Run(tEnd); err != nil {
+	dm, seqToProbe := s.probeEvery(s.interval/2, tEnd)
+	statsBefore := s.net.Stats()
+	if err := s.sim.Run(tEnd); err != nil {
 		panic(fmt.Sprintf("experiment: failure run: %v", err))
 	}
-	for i, rcv := range rcvs {
-		for _, d := range rcv.Deliveries {
-			if p, ok := seqToProbe[d.Seq]; ok {
-				dm.Delivered(i, p)
-			}
-		}
-	}
+	s.delivered(dm, seqToProbe)
 
 	if doLink {
 		if lat, ok := dm.RepairLatency(float64(tCut), float64(tFix)); ok {
@@ -265,24 +201,20 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 		res.CrashBlackoutRatio.Add(dm.DeliveryRatio(float64(tCrash), float64(tUp)))
 	}
 	worst := 0.0
-	for i := range rcvs {
+	for i := range s.members {
 		if b := dm.MaxBlackout(i); b > worst {
 			worst = b
 		}
 	}
 	res.MaxBlackout.Add(worst / res.Gen)
-	res.TransportRatio.Add(net.Stats().Delta(statsBefore).DeliveryRatio())
+	res.TransportRatio.Add(s.net.Stats().Delta(statsBefore).DeliveryRatio())
 
 	// Post-recovery verification: full service, no duplication,
 	// shortest-path delays under the restored routing tables.
-	post := mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	for attempt := 0; attempt < 3 && !post.Complete(); attempt++ {
-		converge(sim, pcfg.TreeInterval, 8)
-		post = mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	}
+	post := s.probeUntil((*mtree.Result).Complete)
 	res.FinalComplete.Add(b2f(post.Complete()))
 	res.FinalClean.Add(b2f(post.MaxLinkCopies() <= 1))
-	if chk != nil {
+	if s.checker != nil {
 		// The measured probe above ran inside the experiment's recovery
 		// window; the converged invariants are claims about the healed
 		// tree's fixed point, so quiesce first (run until a few refresh
@@ -291,23 +223,18 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 		// separate verification probe. A run whose tree never heals even
 		// then is already measured by FinalComplete; only the node-local
 		// structural invariants must hold regardless.
-		last := -1
-		for i := 0; i < 64 && chkChanges != last; i++ {
-			last = chkChanges
-			converge(sim, pcfg.TreeInterval, 4)
-		}
-		vpost := mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-		if vpost.Complete() {
-			chk.CheckConverged(vpost.Seq)
+		s.quiesce()
+		if vpost := s.Probe(); vpost.Complete() {
+			s.checker.CheckConverged(vpost.Seq)
 		} else {
-			chk.CheckStructural()
+			s.checker.CheckStructural()
 		}
-		chk.MustClean(fmt.Sprintf("failure recovery %s on %s (seed=%d receivers=%d)",
+		s.checker.MustClean(fmt.Sprintf("failure recovery %s on %s (seed=%d receivers=%d)",
 			sc, cfg.Topo, seed, cfg.Receivers))
 	}
 	shortest := true
 	for _, m := range memberHosts {
-		want := eventsim.Time(routing.Dist(sourceHost, m))
+		want := eventsim.Time(sp.routing.Dist(sourceHost, m))
 		if post.Delays[g.Node(m).Addr] != want {
 			shortest = false
 		}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"hbh/internal/metrics"
-	"hbh/internal/unicast"
 )
 
 // LossRobustness runs the A6 extension experiment: HBH under
@@ -33,22 +32,15 @@ func LossRobustness(runs int, seed int64) *Figure {
 	for ri, rate := range rates {
 		for run := 0; run < runs; run++ {
 			s := seed + int64(ri)*1_000_003 + int64(run)*7919
-			rng := rand.New(rand.NewSource(s))
-			g := BaseGraph(TopoISP).Clone()
-			g.RandomizeCosts(rng, 1, 10)
-			routing := unicast.Compute(g)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, 8)
-
-			prng := rand.New(rand.NewSource(s))
-			sess := setupHBH(RunConfig{Topo: TopoISP, Protocol: HBH,
-				Receivers: 8, Seed: s}, g, routing, sourceHost, members, prng)
+			sp := runSpec(RunConfig{Topo: TopoISP, Protocol: HBH, Receivers: 8, Seed: s})
+			sp.rng = rand.New(rand.NewSource(s))
+			sess := newSession(sp)
 			sess.net.SetControlLoss(float64(rate)/100, rand.New(rand.NewSource(s+1)))
-			converge(sess.sim, sess.interval, defaultConvergeIntervals)
+			sess.converge(defaultConvergeIntervals)
 			res := sess.Probe()
 
 			costS.At(rate).Add(float64(res.Cost))
-			missS.At(rate).Add(100 * float64(len(res.Missing)) / float64(len(members)))
+			missS.At(rate).Add(100 * float64(len(res.Missing)) / float64(len(sp.hosts)))
 			dupS.At(rate).Add(float64(res.MaxLinkCopies()))
 		}
 	}

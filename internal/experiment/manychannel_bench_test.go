@@ -28,7 +28,7 @@ const benchChannels = 16
 
 // benchSessions brings up converged, churn-free HBH channels over one
 // shared substrate.
-func benchSessions(b *testing.B) []*mcSession {
+func benchSessions(b *testing.B) []*session {
 	b.Helper()
 	cfg := ManyChannelConfig{
 		Tiers: []int{benchChannels}, Routers: 48, HostsPerRouter: 4,
@@ -42,16 +42,16 @@ func benchSessions(b *testing.B) []*mcSession {
 		MaxReceivers: cfg.MaxReceivers,
 		Seed:         cfg.Seed,
 	})
-	sessions := make([]*mcSession, len(wl))
+	sessions := make([]*session, len(wl))
 	for i, ch := range wl {
 		s := x.start(cfg, HBH, ch, nil)
-		converge(s.sim, s.interval, mcConvergeIntervals)
+		s.converge(mcConvergeIntervals)
 		sessions[i] = s
 	}
 	return sessions
 }
 
-func dataCopies(sessions []*mcSession) int {
+func dataCopies(sessions []*session) int {
 	n := 0
 	for _, s := range sessions {
 		n += s.net.Stats().DataCopies
@@ -77,7 +77,7 @@ func BenchmarkManyChannelForward(b *testing.B) {
 func BenchmarkManyChannelForwardParallel(b *testing.B) {
 	sessions := benchSessions(b)
 	pre := dataCopies(sessions)
-	pool := make(chan *mcSession, len(sessions))
+	pool := make(chan *session, len(sessions))
 	for _, s := range sessions {
 		pool <- s
 	}

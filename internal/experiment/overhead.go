@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"fmt"
 	"math/rand"
 
-	"hbh/internal/eventsim"
 	"hbh/internal/metrics"
-	"hbh/internal/unicast"
 )
 
 // ControlOverhead runs the A5 extension experiment: steady-state
@@ -38,23 +35,14 @@ func ControlOverhead(runs int, seed int64) *Figure {
 	for si, size := range sizes {
 		for run := 0; run < runs; run++ {
 			s := seed + int64(si)*1_000_003 + int64(run)*7919
-			rng := rand.New(rand.NewSource(s))
-			g := BaseGraph(TopoRandom50).Clone()
-			g.RandomizeCosts(rng, 1, 10)
-			routing := unicast.Compute(g)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, size)
+			sp := runSpec(RunConfig{Topo: TopoRandom50, Receivers: size, Seed: s})
 
 			for pi, p := range protos {
-				prng := rand.New(rand.NewSource(s))
-				sess := setupDyn(RunConfig{Topo: TopoRandom50, Protocol: p,
-					Receivers: size, Seed: s}, g, routing, sourceHost, members, prng)
-				converge(sess.sim, sess.interval, defaultConvergeIntervals)
+				sp.Protocol, sp.rng = p, rand.New(rand.NewSource(s))
+				sess := newSession(sp)
+				sess.converge(defaultConvergeIntervals)
 				sess.net.ResetStats()
-				if err := sess.sim.Run(sess.sim.Now() +
-					eventsim.Time(measureIntervals)*sess.interval); err != nil {
-					panic(fmt.Sprintf("experiment: overhead run: %v", err))
-				}
+				sess.converge(measureIntervals)
 				st := sess.net.Stats()
 				// No data is sent during the window: every transmission
 				// is control traffic.

@@ -16,16 +16,8 @@ import (
 	"math/rand"
 	"sync"
 
-	"hbh/internal/addr"
-	"hbh/internal/clock"
-	"hbh/internal/core"
-	"hbh/internal/eventsim"
-	"hbh/internal/invariant"
 	"hbh/internal/mtree"
-	"hbh/internal/netsim"
 	"hbh/internal/obs"
-	"hbh/internal/pim"
-	"hbh/internal/reunite"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -244,47 +236,11 @@ func Run(cfg RunConfig) RunResult {
 	if cfg.Receivers < 1 {
 		panic("experiment: need at least one receiver")
 	}
-	lo, hi := cfg.CostLo, cfg.CostHi
-	if lo == 0 && hi == 0 {
-		lo, hi = 1, 10
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	var g *topology.Graph
-	var routing unicast.Router
-	if cfg.Scenario != nil {
-		g, routing = cfg.Scenario.Graph, cfg.Scenario.Routing
-		// The scenario already carries the costs this seed draws;
-		// consume the identical rng draws so receiver sampling and
-		// join jitter below see the same stream as the uncached path.
-		if cfg.UseAsymSpread {
-			g.SkipPerturbCosts(rng, lo, hi, cfg.AsymSpread)
-		} else {
-			g.SkipRandomizeCosts(rng, lo, hi)
-		}
-	} else {
-		g = BaseGraph(cfg.Topo).Clone()
-		if cfg.UseAsymSpread {
-			g.PerturbCosts(rng, lo, hi, cfg.AsymSpread)
-		} else {
-			g.RandomizeCosts(rng, lo, hi)
-		}
-		routing = unicast.New(g)
-	}
-
-	sourceHost := sourceHostOf(g)
-	members := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
-
-	switch cfg.Protocol {
-	case PIMSM, PIMSS:
-		return runPIM(cfg, g, routing, sourceHost, members)
-	case HBH, HBHNoFusion:
-		return runHBH(cfg, g, routing, sourceHost, members, rng)
-	case REUNITE:
-		return runREUNITE(cfg, g, routing, sourceHost, members, rng)
-	default:
-		panic(fmt.Sprintf("experiment: unknown protocol %q", cfg.Protocol))
-	}
+	s := newSession(runSpec(cfg))
+	s.sampleFootprint(cfg.Obs, string(cfg.Protocol))
+	res := s.measure(cfg.ConvergeIntervals)
+	s.checkConverged(cfg, res)
+	return toRunResult(res)
 }
 
 // sourceHostOf fixes the source: the host attached to router 0 (node
@@ -312,416 +268,6 @@ func sampleReceivers(g *topology.Graph, rng *rand.Rand, sourceHost topology.Node
 	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	return pool[:n]
-}
-
-// capableSet selects which routers run the multicast protocol.
-func capableSet(g *topology.Graph, rng *rand.Rand, fraction float64) map[topology.NodeID]bool {
-	routers := g.Routers()
-	capable := make(map[topology.NodeID]bool, len(routers))
-	if fraction <= 0 || fraction >= 1 {
-		for _, r := range routers {
-			capable[r] = true
-		}
-		return capable
-	}
-	idx := rng.Perm(len(routers))
-	n := int(fraction*float64(len(routers)) + 0.5)
-	for _, i := range idx[:n] {
-		capable[routers[i]] = true
-	}
-	return capable
-}
-
-func runPIM(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID) RunResult {
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	if cfg.Obs != nil {
-		net.SetObserver(cfg.Obs)
-	}
-	mode := pim.SS
-	if cfg.Protocol == PIMSM {
-		mode = pim.SM
-	}
-	sess := pim.Build(net, mode, sourceHost, addr.GroupAddr(0), members, topology.None)
-	var chk *invariant.Checker
-	if checkingEnabled(cfg) {
-		// No StateProvider: PIM trees are installed centrally, so only
-		// the delivery-level invariants are checkable.
-		chk = invariant.New(net, sess.Channel(), profileFor(cfg.Protocol), nil)
-		chk.SetMembers(memberAddrs(g, members))
-		wireRecent(chk, cfg.Obs)
-		wireEpisode(chk, net)
-	}
-	ms := make([]mtree.Member, 0, len(members))
-	for _, m := range members {
-		ms = append(ms, sess.Member(m))
-	}
-	res := mtree.Probe(net, func() uint32 { return sess.SendData(nil) }, ms)
-	if chk != nil {
-		chk.CheckConverged(res.Seq)
-		chk.MustClean(fmt.Sprintf("%s on %s (seed=%d receivers=%d)",
-			cfg.Protocol, cfg.Topo, cfg.Seed, cfg.Receivers))
-	}
-	return toRunResult(res)
-}
-
-// dynSession is a live protocol session over a dynamic (join/leave)
-// recursive-unicast protocol, used by both the figure sweeps and the
-// departure-stability experiment.
-type dynSession struct {
-	sim       *eventsim.Sim
-	net       *netsim.Network
-	members   []mtree.Member
-	hosts     []topology.NodeID
-	leave     func(i int)
-	rejoin    func(i int)
-	send      func() uint32
-	interval  eventsim.Time
-	settleOut eventsim.Time // time for soft state to dissolve after a leave
-	// state reports the current forwarding-state footprint across all
-	// routers, for the A4 state-size experiment.
-	state func() stateFootprint
-	// changes counts forwarding-state mutations (entries added/removed/
-	// marked, branching transitions) across all routers and the source
-	// — the Figure 4 stability metric.
-	changes *int
-	// checker, when non-nil, validates the protocol's invariant profile
-	// continuously and at converged checkpoints (see check.go).
-	checker *invariant.Checker
-	// audit exposes the protocol's table snapshots so callers can build
-	// their own checkpoint checkers (the A13 scale run checks converged
-	// state only — continuous checking at 50k routers would re-snapshot
-	// every table per dirty event).
-	audit invariant.StateProvider
-}
-
-// stateFootprint is a snapshot of a protocol's table usage.
-type stateFootprint struct {
-	// MFTRouters counts routers holding a data-plane table (branching
-	// nodes). The recursive-unicast pitch is that this is much smaller
-	// than the tree's router count.
-	MFTRouters int
-	// MFTEntries is the total number of data-plane rows across all
-	// routers and the source.
-	MFTEntries int
-	// MCTRouters counts routers holding only control-plane state.
-	MCTRouters int
-}
-
-// Probe injects one data packet and measures the converged tree.
-func (s *dynSession) Probe() *mtree.Result {
-	return mtree.Probe(s.net, s.send, s.members)
-}
-
-// ProbeSettled probes, and if any member misses the packet (the probe
-// landed in a transient soft-state window — REUNITE in particular
-// keeps reconfiguring under asymmetric routing), lets the protocol run
-// a few more refresh intervals and retries, up to three times. The
-// final probe is reported either way, so sustained starvation still
-// shows up as Missing.
-func (s *dynSession) ProbeSettled() *mtree.Result {
-	res := s.Probe()
-	for attempt := 0; attempt < 3 && len(res.Missing) > 0; attempt++ {
-		converge(s.sim, s.interval, 8)
-		res = s.Probe()
-	}
-	return res
-}
-
-// MembersWithout returns the member views excluding index i.
-func (s *dynSession) MembersWithout(i int) []mtree.Member {
-	out := make([]mtree.Member, 0, len(s.members)-1)
-	for j, m := range s.members {
-		if j != i {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-func setupHBH(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) *dynSession {
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	if cfg.Obs != nil {
-		net.SetObserver(cfg.Obs)
-	}
-	pcfg := core.DefaultConfig()
-	if cfg.Protocol == HBHNoFusion {
-		pcfg.EnableFusion = false
-	}
-	capable := capableSet(g, rng, cfg.MulticastFraction)
-	var routers []*core.Router
-	for _, r := range g.Routers() {
-		if capable[r] {
-			routers = append(routers, core.AttachRouter(net.Node(r), pcfg))
-		}
-	}
-	src := core.AttachSource(net.Node(sourceHost), addr.GroupAddr(0), pcfg)
-	s := &dynSession{
-		sim: sim, net: net, hosts: members,
-		interval:  pcfg.TreeInterval,
-		settleOut: 3 * (pcfg.T1 + pcfg.T2),
-		send:      func() uint32 { return src.SendData(nil) },
-		state: func() stateFootprint {
-			fp := stateFootprint{MFTEntries: src.MFT().Len()}
-			for _, r := range routers {
-				if t := r.MFTFor(src.Channel()); t != nil {
-					fp.MFTRouters++
-					fp.MFTEntries += t.Len()
-				}
-				if c := r.MCTFor(src.Channel()); c != nil {
-					fp.MCTRouters++
-				}
-			}
-			return fp
-		},
-	}
-	s.changes = new(int)
-	s.audit = core.NewAudit(src, routers)
-	if checkingEnabled(cfg) {
-		s.checker = invariant.New(net, src.Channel(), profileFor(cfg.Protocol),
-			s.audit)
-		s.checker.SetMembers(memberAddrs(g, members))
-		invariant.InstallContinuous(sim, s.checker)
-		wireRecent(s.checker, cfg.Obs)
-		wireEpisode(s.checker, net)
-	}
-	installFootprintSampler(cfg, s, string(cfg.Protocol))
-	chg := func(addr.Addr, addr.Channel, core.ChangeKind, addr.Addr) {
-		*s.changes++
-		if s.checker != nil {
-			s.checker.MarkDirty()
-		}
-	}
-	for _, r := range routers {
-		r.SetObserver(chg)
-	}
-	src.SetObserver(chg)
-	var rcvs []*core.Receiver
-	for i, m := range members {
-		rcfg := pcfg
-		rcfg.JoinInterval = skewedInterval(pcfg.JoinInterval, cfg.TimerSkew, i)
-		rcv := core.AttachReceiver(net.Node(m), src.Channel(), rcfg)
-		at := eventsim.Time(rng.Float64()) * pcfg.JoinInterval
-		sim.At(at, rcv.Join)
-		s.members = append(s.members, rcv)
-		rcvs = append(rcvs, rcv)
-	}
-	s.leave = func(i int) { rcvs[i].Leave() }
-	s.rejoin = func(i int) { rcvs[i].Join() }
-	return s
-}
-
-// skewedInterval scales a refresh interval by receiver index i's
-// deterministic skew factor: the factors cycle through -1, -1/2, 0,
-// +1/2, +1, so any group of five receivers spans the whole
-// [1-skew, 1+skew] band and no random draws are consumed.
-func skewedInterval(base eventsim.Time, skew float64, i int) eventsim.Time {
-	if skew <= 0 {
-		return base
-	}
-	factor := float64((i%5)-2) / 2
-	return base * eventsim.Time(1+skew*factor)
-}
-
-func setupREUNITE(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) *dynSession {
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	if cfg.Obs != nil {
-		net.SetObserver(cfg.Obs)
-	}
-	pcfg := reunite.DefaultConfig()
-	capable := capableSet(g, rng, cfg.MulticastFraction)
-	var routers []*reunite.Router
-	for _, r := range g.Routers() {
-		if capable[r] {
-			routers = append(routers, reunite.AttachRouter(net.Node(r), pcfg))
-		}
-	}
-	src := reunite.AttachSource(net.Node(sourceHost), addr.GroupAddr(0), pcfg)
-	s := &dynSession{
-		sim: sim, net: net, hosts: members,
-		interval:  pcfg.TreeInterval,
-		settleOut: 3 * (pcfg.T1 + pcfg.T2),
-		send:      func() uint32 { return src.SendData(nil) },
-		state: func() stateFootprint {
-			fp := stateFootprint{MFTEntries: src.MFT().Len()}
-			for _, r := range routers {
-				if t := r.MFTFor(src.Channel()); t != nil {
-					fp.MFTRouters++
-					fp.MFTEntries += t.Len()
-				}
-				if c := r.MCTFor(src.Channel()); c != nil {
-					fp.MCTRouters++
-				}
-			}
-			return fp
-		},
-	}
-	s.changes = new(int)
-	s.audit = reunite.NewAudit(src, routers)
-	if checkingEnabled(cfg) {
-		s.checker = invariant.New(net, src.Channel(), profileFor(cfg.Protocol),
-			s.audit)
-		s.checker.SetMembers(memberAddrs(g, members))
-		invariant.InstallContinuous(sim, s.checker)
-		wireRecent(s.checker, cfg.Obs)
-		wireEpisode(s.checker, net)
-	}
-	installFootprintSampler(cfg, s, string(cfg.Protocol))
-	chg := func(addr.Addr, addr.Channel, reunite.ChangeKind, addr.Addr) {
-		*s.changes++
-		if s.checker != nil {
-			s.checker.MarkDirty()
-		}
-	}
-	for _, r := range routers {
-		r.SetObserver(chg)
-	}
-	src.SetObserver(chg)
-	var rcvs []*reunite.Receiver
-	for i, m := range members {
-		rcfg := pcfg
-		rcfg.JoinInterval = skewedInterval(pcfg.JoinInterval, cfg.TimerSkew, i)
-		rcv := reunite.AttachReceiver(net.Node(m), src.Channel(), rcfg)
-		at := eventsim.Time(rng.Float64()) * pcfg.JoinInterval
-		sim.At(at, rcv.Join)
-		s.members = append(s.members, rcv)
-		rcvs = append(rcvs, rcv)
-	}
-	s.leave = func(i int) { rcvs[i].Leave() }
-	s.rejoin = func(i int) { rcvs[i].Join() }
-	return s
-}
-
-// wireRecent attaches the flight recorder's per-node dump to the
-// checker, so invariant violations report the last protocol events the
-// offending node saw. No-op unless o carries a recorder.
-func wireRecent(chk *invariant.Checker, o *obs.Observer) {
-	if chk == nil || o == nil {
-		return
-	}
-	if rec := o.Recorder(); rec != nil {
-		chk.SetRecent(rec.Dump)
-	}
-}
-
-// wireEpisode attaches the network's ambient causal context to the
-// checker, so invariant violations cite the causal episode (join,
-// expiry or fault cascade) they were detected under. No-op unless the
-// network carries an observer.
-func wireEpisode(chk *invariant.Checker, net *netsim.Network) {
-	if chk == nil || net == nil || net.Observer() == nil {
-		return
-	}
-	chk.SetEpisode(func() uint64 { return uint64(net.CausalContext().Episode) })
-}
-
-// installFootprintSampler samples the session's forwarding-state
-// footprint into the observer's counter registry once per refresh
-// interval, producing the virtual-time convergence curves the metrics
-// export exposes (hbh_state_* series). No-op unless cfg.Obs carries a
-// counter registry.
-func installFootprintSampler(cfg RunConfig, s *dynSession, protocol string) {
-	if cfg.Obs == nil {
-		return
-	}
-	c := cfg.Obs.Counters()
-	if c == nil {
-		return
-	}
-	mftRouters := c.NewSeries("hbh_state_mft_routers", "protocol", protocol)
-	mftEntries := c.NewSeries("hbh_state_mft_entries", "protocol", protocol)
-	mctRouters := c.NewSeries("hbh_state_mct_routers", "protocol", protocol)
-	clock.NewTicker(clock.Sim(s.sim), s.interval, func() {
-		fp := s.state()
-		now := s.sim.Now()
-		mftRouters.Sample(now, float64(fp.MFTRouters))
-		mftEntries.Sample(now, float64(fp.MFTEntries))
-		mctRouters.Sample(now, float64(fp.MCTRouters))
-	})
-}
-
-// setupDyn builds the session for a dynamic protocol.
-func setupDyn(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) *dynSession {
-	switch cfg.Protocol {
-	case HBH, HBHNoFusion:
-		return setupHBH(cfg, g, routing, sourceHost, members, rng)
-	case REUNITE:
-		return setupREUNITE(cfg, g, routing, sourceHost, members, rng)
-	default:
-		panic(fmt.Sprintf("experiment: %q is not a dynamic protocol", cfg.Protocol))
-	}
-}
-
-func runHBH(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) RunResult {
-	s := setupHBH(cfg, g, routing, sourceHost, members, rng)
-	converge(s.sim, s.interval, cfg.ConvergeIntervals)
-	res := s.ProbeSettled()
-	s.checkConverged(cfg, res)
-	return toRunResult(res)
-}
-
-func runREUNITE(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) RunResult {
-	s := setupREUNITE(cfg, g, routing, sourceHost, members, rng)
-	converge(s.sim, s.interval, cfg.ConvergeIntervals)
-	res := s.ProbeSettled()
-	s.checkConverged(cfg, res)
-	return toRunResult(res)
-}
-
-func converge(sim *eventsim.Sim, interval eventsim.Time, intervals int) {
-	if intervals <= 0 {
-		intervals = defaultConvergeIntervals
-	}
-	if err := sim.Run(sim.Now() + eventsim.Time(intervals)*interval); err != nil {
-		panic(fmt.Sprintf("experiment: converge: %v", err))
-	}
-}
-
-// convergeSettleIntervals is the quiescence window convergeMeasured
-// requires: no table mutation for this many refresh intervals, with no
-// control message outstanding, before the channel counts as converged.
-const convergeSettleIntervals = 3
-
-// convergeMeasured is the detector-driven variant of converge: it steps
-// the simulation interval by interval until tr reports the channel
-// quiescent (or the maxIntervals hard cap — the old fixed budget — is
-// exhausted), and returns the measured convergence time (the last table
-// mutation before quiescence) plus how many intervals were consumed.
-// Unlike the fixed-interval converge, it cannot under-wait a run whose
-// cascade outlives the fixed budget, and it does not over-wait one that
-// settles early.
-//
-// converged is the explicit non-converged marker: false means the hard
-// cap ran out with the channel still churning, and the returned time is
-// merely the last mutation seen, not a convergence time. Callers must
-// branch on it rather than re-deriving the condition from used — a
-// capped run whose final interval happened to look quiescent is still
-// reported converged, exactly as the old call sites computed by hand.
-func convergeMeasured(sim *eventsim.Sim, tr *obs.ConvergeTracker, ch addr.Channel,
-	interval eventsim.Time, maxIntervals int) (at eventsim.Time, used int, converged bool) {
-	if maxIntervals <= 0 {
-		maxIntervals = defaultConvergeIntervals
-	}
-	settle := eventsim.Time(convergeSettleIntervals) * interval
-	for used < maxIntervals {
-		if err := sim.Run(sim.Now() + interval); err != nil {
-			panic(fmt.Sprintf("experiment: convergeMeasured: %v", err))
-		}
-		used++
-		if used >= convergeSettleIntervals && tr.Quiescent(ch, sim.Now(), settle) {
-			converged = true
-			break
-		}
-	}
-	return tr.Channel(ch).LastMutation, used, converged
 }
 
 func toRunResult(res *mtree.Result) RunResult {

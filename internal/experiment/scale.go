@@ -162,18 +162,18 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 	sourceHost := sourceHostOf(g)
 	members := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
 	rcfg := RunConfig{Protocol: HBH, Receivers: cfg.Receivers, Seed: cfg.Seed, Obs: o}
-	s := setupDyn(rcfg, g, rt, sourceHost, members, rng)
-	ch := addr.Channel{S: g.Node(sourceHost).Addr, G: addr.GroupAddr(0)}
-	joinAt, converged := convergeScale(s, tr, ch, cfg.MaxIntervals)
+	s := newSession(sessionSpec{RunConfig: rcfg, g: g, routing: rt, src: sourceHost,
+		hosts: members, rng: rng, check: checkingEnabled(rcfg)})
+	joinAt, converged := convergeScale(s, tr, cfg.MaxIntervals)
 	row.JoinTime, row.Converged = float64(joinAt), converged
 
-	fp := s.state()
+	fp := s.footprint()
 	row.MFTRouters, row.MFTEntries, row.MCTRouters = fp.MFTRouters, fp.MFTEntries, fp.MCTRouters
 
 	// Converged invariant checkpoint: exhaustive at small n, sampled
 	// member subsets above the unicast fast-path threshold (the
 	// exhaustive walk would fault a per-source row per tree path).
-	chk := invariant.New(s.net, ch, profileFor(HBH), s.audit)
+	chk := invariant.New(s.net, s.id, drivers[HBH].profile, s.audit)
 	chk.SetMembers(memberAddrs(g, members))
 	if g.NumNodes() >= unicast.FastPathThreshold {
 		chk.SetSample(cfg.Seed, cfg.CheckSample)
@@ -199,20 +199,17 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 // stops existing well below the sizes A13 sweeps, while mutation
 // quiescence (the condition checkConverged already keys on) stays
 // well-defined at any n.
-func convergeScale(s *dynSession, tr *obs.ConvergeTracker, ch addr.Channel,
-	maxIntervals int) (at eventsim.Time, converged bool) {
+func convergeScale(s *session, tr *obs.ConvergeTracker, maxIntervals int) (at eventsim.Time, converged bool) {
 	settle := eventsim.Time(convergeSettleIntervals) * s.interval
 	for used := 0; used < maxIntervals; used++ {
-		if err := s.sim.Run(s.sim.Now() + s.interval); err != nil {
-			panic(fmt.Sprintf("experiment: scale converge: %v", err))
-		}
-		cc := tr.Channel(ch)
+		s.converge(1)
+		cc := tr.Channel(s.id)
 		if used >= convergeSettleIntervals &&
 			(!cc.MutationAny || s.sim.Now()-cc.LastMutation >= settle) {
 			return cc.LastMutation, true
 		}
 	}
-	return tr.Channel(ch).LastMutation, false
+	return tr.Channel(s.id).LastMutation, false
 }
 
 // attachScaleHosts attaches the source host (router 0, the experiment

@@ -5,7 +5,6 @@ import (
 
 	"hbh/internal/metrics"
 	"hbh/internal/topology"
-	"hbh/internal/unicast"
 )
 
 // ForwardingState runs the A4 extension experiment: the forwarding
@@ -47,21 +46,15 @@ func ForwardingState(runs int, seed int64) *Figure {
 	for si, size := range sizes {
 		for run := 0; run < runs; run++ {
 			s := seed + int64(si)*1_000_003 + int64(run)*7919
-			rng := rand.New(rand.NewSource(s))
-			g := BaseGraph(TopoRandom50).Clone()
-			g.RandomizeCosts(rng, 1, 10)
-			routing := unicast.Compute(g)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, size)
+			sp := runSpec(RunConfig{Topo: TopoRandom50, Receivers: size, Seed: s})
 
 			// Each dynamic protocol runs on its own network instance
 			// over identical costs and members.
 			for _, p := range []Protocol{HBH, REUNITE} {
-				prng := rand.New(rand.NewSource(s))
-				sess := setupDyn(RunConfig{Topo: TopoRandom50, Protocol: p,
-					Receivers: size, Seed: s}, g, routing, sourceHost, members, prng)
-				converge(sess.sim, sess.interval, defaultConvergeIntervals)
-				fp := sess.state()
+				sp.Protocol, sp.rng = p, rand.New(rand.NewSource(s))
+				sess := newSession(sp)
+				sess.converge(defaultConvergeIntervals)
+				fp := sess.footprint()
 				key := "HBH"
 				if p == REUNITE {
 					key = "REU"
@@ -73,10 +66,10 @@ func ForwardingState(runs int, seed int64) *Figure {
 			// Classical IP multicast reference: every router on the
 			// source tree holds group forwarding state.
 			seen := map[topology.NodeID]bool{}
-			for _, m := range members {
-				p := routing.Path(m, sourceHost) // reverse SPT branch
+			for _, m := range sp.hosts {
+				p := sp.routing.Path(m, sp.src) // reverse SPT branch
 				for _, v := range p {
-					if g.Node(v).Kind == topology.Router {
+					if sp.g.Node(v).Kind == topology.Router {
 						seen[v] = true
 					}
 				}
