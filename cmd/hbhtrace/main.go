@@ -34,6 +34,7 @@ import (
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
+	"hbh/internal/packet"
 	"hbh/internal/reunite"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -135,13 +136,13 @@ func buildSession(proto string, sc topology.Scenario, verbose, causal bool) *ses
 		s.r1, s.r2 = r1, r2
 		s.leaveR1 = r1.Leave
 	case "REUNITE":
-		cfg := reunite.DefaultConfig()
+		cfg := core.DefaultTiming()
 		for _, r := range sc.Graph.Routers() {
 			reunite.AttachRouter(net.Node(r), cfg)
 		}
 		src := reunite.AttachSource(net.Node(sc.Source), addr.GroupAddr(0), cfg)
-		r1 := reunite.AttachReceiver(net.Node(sc.R1), src.Channel(), cfg)
-		r2 := reunite.AttachReceiver(net.Node(sc.R2), src.Channel(), cfg)
+		r1 := core.AttachMember(net.Node(sc.R1), src.Channel(), cfg, packet.ProtoREUNITE)
+		r2 := core.AttachMember(net.Node(sc.R2), src.Channel(), cfg, packet.ProtoREUNITE)
 		sim.At(10, r1.Join)
 		sim.At(130, r2.Join)
 		s.send = func() uint32 { return src.SendData([]byte("payload")) }

@@ -11,6 +11,7 @@ import (
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
+	"hbh/internal/packet"
 	"hbh/internal/pim"
 	"hbh/internal/reunite"
 	"hbh/internal/topology"
@@ -28,13 +29,15 @@ type (
 	Graph = topology.Graph
 	// NodeID identifies a node within a Graph.
 	NodeID = topology.NodeID
-	// Config carries HBH's soft-state timing constants.
+	// Config carries HBH's soft-state timing and its feature switches.
 	Config = core.Config
-	// ReuniteConfig carries REUNITE's timing constants.
-	ReuniteConfig = reunite.Config
+	// ReuniteConfig carries REUNITE's timing constants: the soft-state
+	// timing HBH's Config embeds, without HBH's feature switches.
+	ReuniteConfig = core.Timing
 	// Source is an HBH channel root.
 	Source = core.Source
-	// Receiver is an HBH member agent.
+	// Receiver is a member agent; HBH's and REUNITE's differ only in
+	// the protocol byte of their joins.
 	Receiver = core.Receiver
 	// Router is an HBH protocol engine on one router.
 	Router = core.Router
@@ -195,9 +198,10 @@ func (nw *Network) NewREUNITESource(host NodeID, group Addr, cfg ReuniteConfig) 
 	return reunite.AttachSource(nw.net.Node(host), group, cfg)
 }
 
-// NewREUNITEReceiver creates a REUNITE member agent on host.
-func (nw *Network) NewREUNITEReceiver(host NodeID, ch Channel, cfg ReuniteConfig) *reunite.Receiver {
-	return reunite.AttachReceiver(nw.net.Node(host), ch, cfg)
+// NewREUNITEReceiver creates a REUNITE member agent on host: the
+// receiver HBH uses, speaking REUNITE's joins.
+func (nw *Network) NewREUNITEReceiver(host NodeID, ch Channel, cfg ReuniteConfig) *Receiver {
+	return core.AttachMember(nw.net.Node(host), ch, cfg, packet.ProtoREUNITE)
 }
 
 // BuildPIMSS installs a PIM-SS-style source tree (reverse SPT) for the

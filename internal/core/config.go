@@ -6,13 +6,13 @@ import (
 	"hbh/internal/eventsim"
 )
 
-// Config carries the protocol timing constants and feature switches.
-// All durations are in simulator time units; one unit equals one unit
-// of link cost, and link costs are drawn from [1,10], so end-to-end
-// delays are tens of units. The defaults keep every refresh interval
-// comfortably above the network diameter and every timeout above three
-// refresh intervals, the usual soft-state sizing.
-type Config struct {
+// Timing carries the soft-state timing constants HBH and REUNITE
+// share. All durations are in simulator time units; one unit equals
+// one unit of link cost, and link costs are drawn from [1,10], so
+// end-to-end delays are tens of units. The defaults keep every refresh
+// interval comfortably above the network diameter and every timeout
+// above three refresh intervals, the usual soft-state sizing.
+type Timing struct {
 	// JoinInterval is the period of receiver (and branching-router)
 	// join refreshes.
 	JoinInterval eventsim.Time
@@ -24,6 +24,32 @@ type Config struct {
 	// T2 is the destruction timeout: a stale entry not refreshed for a
 	// further T2 is deleted.
 	T2 eventsim.Time
+}
+
+// DefaultTiming returns the timing used by all experiments, for both
+// protocols: join/tree period 100, T1 = 3.5 periods, T2 = 3.5 periods.
+func DefaultTiming() Timing {
+	return Timing{JoinInterval: 100, TreeInterval: 100, T1: 350, T2: 350}
+}
+
+// Validate reports a descriptive error for nonsensical timing.
+func (t Timing) Validate() error {
+	if t.JoinInterval <= 0 || t.TreeInterval <= 0 {
+		return fmt.Errorf("core: non-positive refresh interval %v/%v", t.JoinInterval, t.TreeInterval)
+	}
+	if t.T1 <= t.JoinInterval || t.T1 <= t.TreeInterval {
+		return fmt.Errorf("core: T1 %v must exceed the refresh intervals", t.T1)
+	}
+	if t.T2 <= 0 {
+		return fmt.Errorf("core: non-positive T2 %v", t.T2)
+	}
+	return nil
+}
+
+// Config is HBH's configuration: the shared timing plus HBH's feature
+// switches.
+type Config struct {
+	Timing
 	// EnableFusion enables the fusion repair mechanism. Disabling it is
 	// the A1 ablation: HBH degrades to per-receiver unicast delivery
 	// from the source table, exposing the duplicate copies fusion
@@ -35,29 +61,7 @@ type Config struct {
 	CollapseRelays bool
 }
 
-// DefaultConfig returns the timing used by all experiments:
-// join/tree period 100, T1 = 3.5 periods, T2 = 3.5 periods.
+// DefaultConfig returns DefaultTiming with both HBH switches on.
 func DefaultConfig() Config {
-	return Config{
-		JoinInterval:   100,
-		TreeInterval:   100,
-		T1:             350,
-		T2:             350,
-		EnableFusion:   true,
-		CollapseRelays: true,
-	}
-}
-
-// Validate reports a descriptive error for nonsensical configurations.
-func (c Config) Validate() error {
-	if c.JoinInterval <= 0 || c.TreeInterval <= 0 {
-		return fmt.Errorf("core: non-positive refresh interval %v/%v", c.JoinInterval, c.TreeInterval)
-	}
-	if c.T1 <= c.JoinInterval || c.T1 <= c.TreeInterval {
-		return fmt.Errorf("core: T1 %v must exceed the refresh intervals", c.T1)
-	}
-	if c.T2 <= 0 {
-		return fmt.Errorf("core: non-positive T2 %v", c.T2)
-	}
-	return nil
+	return Config{Timing: DefaultTiming(), EnableFusion: true, CollapseRelays: true}
 }

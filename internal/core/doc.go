@@ -38,4 +38,9 @@
 // an entry stale (data still forwarded, no downstream tree message),
 // t2 expiry destroys it. A marked entry is the dual: tree messages are
 // forwarded, data is not.
+//
+// REUNITE (package reunite) is written as the delta from HBH and reuses
+// the protocol-neutral pieces kept here: the member agent
+// (AttachMember), the soft-state Timing, ChangeKind, MCT, DataWindow,
+// the source skeleton Origin and the audit's ChannelAudit.
 package core

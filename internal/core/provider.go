@@ -7,30 +7,43 @@ import (
 	"hbh/internal/invariant"
 )
 
-// Audit exposes one HBH channel's live protocol state to the
-// invariant checker: the source table plus every attached router. It
-// lives in package core so it reads the real tables directly — no
-// parallel bookkeeping that could itself drift from the truth.
-type Audit struct {
-	src     *Source
-	routers []*Router
+// Tables is the read side of one router's per-channel state, as the
+// channel audit inspects it. HBH's and REUNITE's routers implement it.
+type Tables interface {
+	Addr() addr.Addr
+	// ChannelTables returns ch's control entry and forwarding table;
+	// held reports whether the router keeps a per-channel record at all.
+	ChannelTables(ch addr.Channel) (mct *MCT, mft *MFT, held bool)
+	// Window returns the router's data dedup window.
+	Window() DataWindow
 }
 
-// NewAudit builds the provider for src's channel over the given
-// routers (normally every Router attached to the topology).
-func NewAudit(src *Source, routers []*Router) *Audit {
-	return &Audit{src: src, routers: routers}
+// ChannelAudit is the protocol-neutral part of one channel's
+// invariant.StateProvider: Root, States and Residuals read the source
+// table and every router's tables directly — no parallel bookkeeping
+// that could itself drift from the truth. Each protocol's audit embeds
+// it and adds the DeliveryTree walk of its own data plane.
+type ChannelAudit struct {
+	src     *Origin
+	routers []Tables
 }
 
-var _ invariant.StateProvider = (*Audit)(nil)
+// NewChannelAudit builds the shared audit of src's channel over the
+// given routers (normally every router attached to the topology).
+func NewChannelAudit[R Tables](src *Origin, routers []R) ChannelAudit {
+	ts := make([]Tables, len(routers))
+	for i, r := range routers {
+		ts[i] = r
+	}
+	return ChannelAudit{src: src, routers: ts}
+}
 
 // Root implements invariant.StateProvider.
-func (a *Audit) Root() addr.Addr { return a.src.node.Addr() }
+func (a *ChannelAudit) Root() addr.Addr { return a.src.node.Addr() }
 
 // States implements invariant.StateProvider: a snapshot of the source
 // MFT and of each router's per-channel tables.
-func (a *Audit) States() []invariant.NodeState {
-	ch := a.src.ch
+func (a *ChannelAudit) States() []invariant.NodeState {
 	out := []invariant.NodeState{{
 		Node:    a.src.node.Addr(),
 		IsRoot:  true,
@@ -38,18 +51,18 @@ func (a *Audit) States() []invariant.NodeState {
 		Entries: entryStates(a.src.mft),
 	}}
 	for _, r := range a.routers {
-		st := r.chans[ch]
-		if st == nil {
+		mct, mft, held := r.ChannelTables(a.src.ch)
+		if !held {
 			continue
 		}
-		ns := invariant.NodeState{Node: r.node.Addr()}
-		if st.mct != nil {
+		ns := invariant.NodeState{Node: r.Addr()}
+		if mct != nil {
 			ns.HasMCT = true
-			ns.MCTNode = st.mct.Node
+			ns.MCTNode = mct.Node
 		}
-		if st.mft != nil {
+		if mft != nil {
 			ns.HasMFT = true
-			ns.Entries = entryStates(st.mft)
+			ns.Entries = entryStates(mft)
 		}
 		out = append(out, ns)
 	}
@@ -66,6 +79,52 @@ func entryStates(t *MFT) []invariant.EntryState {
 	return out
 }
 
+// Residuals implements invariant.StateProvider: after every receiver
+// leaves (and the soft timers run out) or a router crash wiped its
+// tables, nothing channel-scoped may survive — no MCT/MFT state, no
+// rate-limit stamps (they live inside the per-channel record), and no
+// dedup window.
+func (a *ChannelAudit) Residuals() []invariant.Residual {
+	ch := a.src.ch
+	var out []invariant.Residual
+	if n := a.src.mft.Len(); n > 0 {
+		out = append(out, invariant.Residual{
+			Node:   a.src.node.Addr(),
+			Detail: fmt.Sprintf("source MFT still holds %d entries", n),
+		})
+	}
+	for _, r := range a.routers {
+		if mct, mft, held := r.ChannelTables(ch); held {
+			out = append(out, invariant.Residual{
+				Node: r.Addr(),
+				Detail: fmt.Sprintf("per-channel state survives teardown (mct=%v mft=%v)",
+					mct != nil, mft != nil),
+			})
+		}
+		if w := r.Window()[ch]; w != nil {
+			out = append(out, invariant.Residual{
+				Node:   r.Addr(),
+				Detail: fmt.Sprintf("dedup window still holds %d sequence numbers", len(w)),
+			})
+		}
+	}
+	return out
+}
+
+// Audit exposes one HBH channel's live protocol state to the invariant
+// checker: the shared ChannelAudit plus HBH's delivery-tree walk.
+type Audit struct {
+	ChannelAudit
+}
+
+// NewAudit builds the provider for src's channel over the given
+// routers (normally every Router attached to the topology).
+func NewAudit(src *Source, routers []*Router) *Audit {
+	return &Audit{NewChannelAudit(src.Origin, routers)}
+}
+
+var _ invariant.StateProvider = (*Audit)(nil)
+
 // DeliveryTree implements invariant.StateProvider: it replays the
 // recursive-unicast data path over the live tables. The walk mirrors
 // onData exactly — marked entries are skipped, no copy goes back to
@@ -78,7 +137,7 @@ func (a *Audit) DeliveryTree() *invariant.Tree {
 	ch := a.src.ch
 	mfts := make(map[addr.Addr]*MFT, len(a.routers))
 	for _, r := range a.routers {
-		if t := r.MFTFor(ch); t != nil {
+		if _, t, _ := r.ChannelTables(ch); t != nil {
 			mfts[r.Addr()] = t
 		}
 	}
@@ -122,36 +181,4 @@ func (a *Audit) DeliveryTree() *invariant.Tree {
 		walk(root, e.Node, []addr.Addr{root})
 	}
 	return tree
-}
-
-// Residuals implements invariant.StateProvider: after every receiver
-// leaves (and the soft timers run out) or a router crash wiped its
-// tables, nothing channel-scoped may survive — no MCT/MFT state, no
-// rate-limit stamps (they live inside the per-channel record), and no
-// dedup window.
-func (a *Audit) Residuals() []invariant.Residual {
-	ch := a.src.ch
-	var out []invariant.Residual
-	if n := a.src.mft.Len(); n > 0 {
-		out = append(out, invariant.Residual{
-			Node:   a.src.node.Addr(),
-			Detail: fmt.Sprintf("source MFT still holds %d entries", n),
-		})
-	}
-	for _, r := range a.routers {
-		if st := r.chans[ch]; st != nil {
-			out = append(out, invariant.Residual{
-				Node: r.node.Addr(),
-				Detail: fmt.Sprintf("per-channel state survives teardown (mct=%v mft=%v)",
-					st.mct != nil, st.mft != nil),
-			})
-		}
-		if w := r.seen[ch]; w != nil {
-			out = append(out, invariant.Residual{
-				Node:   r.node.Addr(),
-				Detail: fmt.Sprintf("dedup window still holds %d sequence numbers", len(w)),
-			})
-		}
-	}
-	return out
 }

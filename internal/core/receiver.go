@@ -17,17 +17,19 @@ type Delivery struct {
 	At eventsim.Time
 }
 
-// Receiver is the member-host agent: it subscribes to a channel by
-// emitting the first (never-intercepted) join and then periodic
-// refresh joins, consumes tree messages addressed to it, and records
-// data deliveries.
+// Receiver is the member-host agent HBH and REUNITE share: it
+// subscribes to a channel by emitting a join and then periodic refresh
+// joins, consumes tree messages addressed to it, and records data
+// deliveries. The protocol byte is fixed when the agent is built; only
+// HBH flags the first join so no branching router intercepts it.
 type Receiver struct {
-	cfg    Config
-	node   netsim.ProtoNode
-	clk    clock.Clock
-	ch     addr.Channel
-	ticker *clock.Ticker
-	joined bool
+	proto    packet.Protocol
+	interval eventsim.Time
+	node     netsim.ProtoNode
+	clk      clock.Clock
+	ch       addr.Channel
+	ticker   *clock.Ticker
+	joined   bool
 
 	// Deliveries lists data arrivals in order. DupCount counts
 	// duplicate sequence numbers, which a converged HBH tree must not
@@ -47,21 +49,29 @@ type Receiver struct {
 	lifeSpan, joinSpan obs.SpanID
 }
 
-// AttachReceiver creates a (not yet joined) receiver agent on host n
-// for channel ch.
+// AttachReceiver creates a (not yet joined) HBH receiver agent on host
+// n for channel ch.
 func AttachReceiver(n netsim.ProtoNode, ch addr.Channel, cfg Config) *Receiver {
-	if err := cfg.Validate(); err != nil {
+	return AttachMember(n, ch, cfg.Timing, packet.ProtoHBH)
+}
+
+// AttachMember creates a (not yet joined) receiver agent speaking
+// proto (packet.ProtoHBH or packet.ProtoREUNITE) on host n for channel
+// ch.
+func AttachMember(n netsim.ProtoNode, ch addr.Channel, t Timing, proto packet.Protocol) *Receiver {
+	if err := t.Validate(); err != nil {
 		panic(err)
 	}
 	if !ch.Valid() {
 		panic("core: invalid channel")
 	}
 	r := &Receiver{
-		cfg:  cfg,
-		node: n,
-		clk:  n.Clock(),
-		ch:   ch,
-		seen: make(map[uint32]bool),
+		proto:    proto,
+		interval: t.JoinInterval,
+		node:     n,
+		clk:      n.Clock(),
+		ch:       ch,
+		seen:     make(map[uint32]bool),
 	}
 	n.AddHandler(r)
 	return r
@@ -73,8 +83,9 @@ func (r *Receiver) Addr() addr.Addr { return r.node.Addr() }
 // Joined reports whether the receiver is currently subscribed.
 func (r *Receiver) Joined() bool { return r.joined }
 
-// Join subscribes: the first join is flagged so no branching router
-// intercepts it, then refresh joins follow every JoinInterval.
+// Join subscribes: an immediate join (flagged as first under HBH, so no
+// branching router intercepts it), then refresh joins every
+// JoinInterval.
 func (r *Receiver) Join() {
 	if r.joined {
 		return
@@ -85,7 +96,7 @@ func (r *Receiver) Join() {
 		r.joinSpan = o.BeginSpan("joining", r.ch, r.node.Addr(), r.node.Name(), r.lifeSpan)
 	}
 	r.sendJoin(true)
-	r.ticker = clock.NewTicker(r.clk, r.cfg.JoinInterval, func() { r.sendJoin(false) })
+	r.ticker = clock.NewTicker(r.clk, r.interval, func() { r.sendJoin(false) })
 }
 
 // Leave unsubscribes by silence: the receiver simply stops sending
@@ -107,7 +118,7 @@ func (r *Receiver) Leave() {
 
 func (r *Receiver) sendJoin(first bool) {
 	var flags uint8
-	if first {
+	if first && r.proto == packet.ProtoHBH {
 		flags = packet.FlagFirst
 	}
 	// A join is a spontaneous protocol action: it roots a causal
@@ -130,7 +141,7 @@ func (r *Receiver) sendJoin(first bool) {
 	}
 	j := &packet.Join{
 		Header: packet.Header{
-			Proto:   packet.ProtoHBH,
+			Proto:   r.proto,
 			Type:    packet.TypeJoin,
 			Flags:   flags,
 			Channel: r.ch,
@@ -152,7 +163,7 @@ func (r *Receiver) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict
 	}
 	switch m := msg.(type) {
 	case *packet.Tree:
-		if m.Proto != packet.ProtoHBH {
+		if m.Proto != r.proto {
 			return netsim.Continue
 		}
 		r.TreeMsgs++

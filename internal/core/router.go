@@ -14,7 +14,8 @@ import (
 
 // ChangeKind classifies forwarding-state changes for the stability
 // experiment (Fig. 4): the paper argues member departures perturb HBH
-// trees less than REUNITE trees, so we count every mutation.
+// trees less than REUNITE trees, so we count every mutation. The kinds
+// are the union of both protocols' mutations.
 type ChangeKind uint8
 
 const (
@@ -33,6 +34,10 @@ const (
 	ChangeBecomeBranching
 	// ChangeCollapse is a branching -> non-branching transition.
 	ChangeCollapse
+	// ChangeTableStale marks a REUNITE table going stale.
+	ChangeTableStale
+	// ChangeTableDestroy is the destruction of a whole REUNITE MFT.
+	ChangeTableDestroy
 )
 
 func (k ChangeKind) String() string {
@@ -51,6 +56,10 @@ func (k ChangeKind) String() string {
 		return "become-branching"
 	case ChangeCollapse:
 		return "collapse"
+	case ChangeTableStale:
+		return "table-stale"
+	case ChangeTableDestroy:
+		return "table-destroy"
 	default:
 		return "change(?)"
 	}
@@ -84,7 +93,7 @@ type Router struct {
 	node     netsim.ProtoNode
 	clk      clock.Clock
 	chans    map[addr.Channel]*chanState
-	seen     map[addr.Channel]map[uint32]bool
+	seen     DataWindow
 	observer ChangeObserver
 	leaf     *LeafAgent
 }
@@ -149,6 +158,17 @@ func (r *Router) MFTFor(ch addr.Channel) *MFT {
 	}
 	return nil
 }
+
+// ChannelTables implements Tables.
+func (r *Router) ChannelTables(ch addr.Channel) (*MCT, *MFT, bool) {
+	if st := r.chans[ch]; st != nil {
+		return st.mct, st.mft, true
+	}
+	return nil, nil, false
+}
+
+// Window implements Tables.
+func (r *Router) Window() DataWindow { return r.seen }
 
 // MCTFor returns the channel's control entry (nil when absent).
 func (r *Router) MCTFor(ch addr.Channel) *MCT {
@@ -644,7 +664,7 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		// install no deliver sink).
 		return netsim.Continue
 	}
-	if r.seenData(d.Channel, d.Seq) {
+	if r.seen.Seen(d.Channel, d.Seq) {
 		return netsim.Consumed
 	}
 	if hasLeaf {
@@ -672,33 +692,6 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		}
 	}
 	return netsim.Consumed
-}
-
-// seenDataCap bounds the per-channel duplicate-suppression window.
-const seenDataCap = 4096
-
-// seenData records (channel, seq) and reports whether it was already
-// replicated at this node.
-func (r *Router) seenData(ch addr.Channel, seq uint32) bool {
-	if r.seen == nil {
-		r.seen = make(map[addr.Channel]map[uint32]bool)
-	}
-	m := r.seen[ch]
-	if m == nil {
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	if m[seq] {
-		return true
-	}
-	if len(m) >= seenDataCap {
-		// Reset the window rather than grow without bound; worst case
-		// a very old sequence number is replicated twice.
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	m[seq] = true
-	return false
 }
 
 func (r *Router) sendTree(ch addr.Channel, target addr.Addr) {

@@ -10,60 +10,126 @@ import (
 	"hbh/internal/packet"
 )
 
-// Source is the channel root: the host agent at S. It owns the
-// top-level MFT, emits the periodic tree refresh, accepts joins that
-// reached it, processes fusions, and originates data packets with one
-// rewritten copy per unmarked table entry.
-type Source struct {
-	cfg      Config
+// Origin is the half of a channel source HBH and REUNITE share: the
+// channel, the top-level MFT, the tree-emission ticker, the change
+// observer, member installation and data origination. Each protocol's
+// Source embeds it and adds its own join handling and tree emission.
+type Origin struct {
 	node     netsim.ProtoNode
 	clk      clock.Clock
 	ch       addr.Channel
+	t        Timing
 	mft      *MFT
 	ticker   *clock.Ticker
 	observer ChangeObserver
 	nextSeq  uint32
 }
 
-// AttachSource creates the channel <n.Addr(), group> rooted at host n
-// and starts the tree-emission ticker.
-func AttachSource(n netsim.ProtoNode, group addr.Addr, cfg Config) *Source {
-	if err := cfg.Validate(); err != nil {
+// NewOrigin creates the channel <n.Addr(), group> rooted at host n and
+// starts the ticker that calls emitTrees every TreeInterval.
+func NewOrigin(n netsim.ProtoNode, group addr.Addr, t Timing, emitTrees func()) *Origin {
+	if err := t.Validate(); err != nil {
 		panic(err)
 	}
 	ch, err := addr.NewChannel(n.Addr(), group)
 	if err != nil {
 		panic(err)
 	}
-	s := &Source{
-		cfg:  cfg,
-		node: n,
-		clk:  n.Clock(),
-		ch:   ch,
-		mft:  NewMFT(),
-	}
-	s.ticker = clock.NewTicker(s.clk, cfg.TreeInterval, s.emitTrees)
-	n.AddHandler(s)
-	return s
+	o := &Origin{node: n, clk: n.Clock(), ch: ch, t: t, mft: NewMFT()}
+	o.ticker = clock.NewTicker(o.clk, t.TreeInterval, emitTrees)
+	return o
 }
 
 // Channel returns the channel this source roots.
-func (s *Source) Channel() addr.Channel { return s.ch }
+func (o *Origin) Channel() addr.Channel { return o.ch }
+
+// Node returns the source host.
+func (o *Origin) Node() netsim.ProtoNode { return o.node }
 
 // MFT exposes the source table for tests and audits.
-func (s *Source) MFT() *MFT { return s.mft }
+func (o *Origin) MFT() *MFT { return o.mft }
 
 // SetObserver installs the state-change observer (nil clears it).
-func (s *Source) SetObserver(o ChangeObserver) { s.observer = o }
+func (o *Origin) SetObserver(ob ChangeObserver) { o.observer = ob }
 
-func (s *Source) observe(kind ChangeKind, node addr.Addr) {
-	if s.observer != nil {
-		s.observer(s.node.Addr(), s.ch, kind, node)
+func (o *Origin) observe(kind ChangeKind, node addr.Addr) {
+	if o.observer != nil {
+		o.observer(o.node.Addr(), o.ch, kind, node)
 	}
 }
 
 // Stop halts the periodic tree emission (end of the session).
-func (s *Source) Stop() { s.ticker.Stop() }
+func (o *Origin) Stop() { o.ticker.Stop() }
+
+// AddEntry installs node in the source table with a (t1, t2) timer
+// whose expiry removes the entry again.
+func (o *Origin) AddEntry(node addr.Addr) *Entry {
+	timer := clock.NewSoftTimer(o.clk, o.t.T1, o.t.T2, nil, func() {
+		if o.mft.Get(node) != nil {
+			// Expiry is a spontaneous action (the member went silent):
+			// it roots its own causal episode.
+			prev := o.node.RootEpisode()
+			o.mft.Remove(node)
+			o.observe(ChangeMFTRemove, node)
+			o.node.EmitProto(obs.KindTableRemove, o.ch, node, 0, "mft")
+			// A departed relay's members get data directly again
+			// (REUNITE never marks, so there this finds nothing).
+			unmarkServedBy(o.mft, node)
+			o.node.SetCausalContext(prev)
+		}
+	})
+	e := o.mft.Add(node, timer)
+	o.observe(ChangeMFTAdd, node)
+	e.Cause = o.node.EmitProto(obs.KindTableAdd, o.ch, node, 0, "mft")
+	return e
+}
+
+// SendData originates one multicast payload over the recursive unicast
+// tree: one copy per unmarked entry. It returns the sequence number
+// used, so measurement code can correlate deliveries.
+func (o *Origin) SendData(payload []byte) uint32 {
+	seq := o.nextSeq
+	o.nextSeq++
+	// One causal episode per originated packet: every replica cascade
+	// downstream attributes to this origination.
+	prev := o.node.RootEpisode()
+	for _, e := range o.mft.Entries() {
+		if e.Marked {
+			continue
+		}
+		o.node.EmitProto(obs.KindReplicate, o.ch, e.Node, seq, "source copy")
+		d := &packet.Data{
+			Header: packet.Header{
+				Proto:   packet.ProtoNone,
+				Type:    packet.TypeData,
+				Channel: o.ch,
+				Src:     o.node.Addr(),
+				Dst:     e.Node,
+			},
+			Seq:     seq,
+			Payload: append([]byte(nil), payload...),
+		}
+		o.node.SendUnicast(d)
+	}
+	o.node.SetCausalContext(prev)
+	return seq
+}
+
+// Source is the HBH channel root: the host agent at S. On top of the
+// shared Origin it accepts joins that reached it, processes fusions,
+// and emits one tree per fresh entry.
+type Source struct {
+	*Origin
+}
+
+// AttachSource creates the channel <n.Addr(), group> rooted at host n
+// and starts the tree-emission ticker.
+func AttachSource(n netsim.ProtoNode, group addr.Addr, cfg Config) *Source {
+	s := &Source{}
+	s.Origin = NewOrigin(n, group, cfg.Timing, s.emitTrees)
+	n.AddHandler(s)
+	return s
+}
 
 // Handle implements netsim.Handler for packets arriving at the source
 // host: joins and fusions addressed to S.
@@ -96,7 +162,7 @@ func (s *Source) onJoin(j *packet.Join) {
 		// (Router.revalidateMark): a relay can stop confirming the
 		// handover (it un-branched or crashed), or a cost change can
 		// strand the member behind a relay off the forward path.
-		if markLapsed(e, s.clk.Now(), s.cfg.T1) {
+		if markLapsed(e, s.clk.Now(), s.t.T1) {
 			e.Marked = false
 			e.ServedBy = addr.Unspecified
 			s.node.EmitProto(obs.KindMarkLift, s.ch, j.R, 0, "relay stopped confirming the handover")
@@ -109,7 +175,7 @@ func (s *Source) onJoin(j *packet.Join) {
 		return
 	}
 	s.node.EmitProto(obs.KindJoinAdmit, s.ch, j.R, 0, "install")
-	s.addEntry(j.R, false)
+	s.AddEntry(j.R)
 }
 
 func (s *Source) onFusion(f *packet.Fusion) {
@@ -144,33 +210,15 @@ func (s *Source) onFusion(f *packet.Fusion) {
 			fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs)))
 	}
 	applyFusion(s.mft, f.Bp, f.Rs, matched, s.clk.Now(),
-		func(node addr.Addr) *Entry { return s.addEntry(node, true) },
+		func(node addr.Addr) *Entry {
+			e := s.AddEntry(node)
+			e.Timer.ForceStale()
+			return e
+		},
 		func(node addr.Addr) { s.observe(ChangeMFTMark, node) },
 		func(node addr.Addr) {
 			s.node.EmitProto(obs.KindMarkLift, s.ch, node, 0, "fusion no longer lists member")
 		})
-}
-
-func (s *Source) addEntry(node addr.Addr, forceStale bool) *Entry {
-	timer := clock.NewSoftTimer(s.clk, s.cfg.T1, s.cfg.T2, nil, func() {
-		if s.mft.Get(node) != nil {
-			// Expiry is a spontaneous action (the member went silent):
-			// it roots its own causal episode.
-			prev := s.node.RootEpisode()
-			s.mft.Remove(node)
-			s.observe(ChangeMFTRemove, node)
-			s.node.EmitProto(obs.KindTableRemove, s.ch, node, 0, "mft")
-			unmarkServedBy(s.mft, node)
-			s.node.SetCausalContext(prev)
-		}
-	})
-	e := s.mft.Add(node, timer)
-	s.observe(ChangeMFTAdd, node)
-	e.Cause = s.node.EmitProto(obs.KindTableAdd, s.ch, node, 0, "mft")
-	if forceStale {
-		e.Timer.ForceStale()
-	}
-	return e
 }
 
 // emitTrees is the periodic downstream refresh: one tree(S, X) per
@@ -197,35 +245,4 @@ func (s *Source) emitTrees() {
 		s.node.SendUnicast(t)
 	}
 	s.node.SetCausalContext(obs.Causal{})
-}
-
-// SendData originates one multicast payload over the recursive unicast
-// tree: one copy per unmarked entry. It returns the sequence number
-// used, so measurement code can correlate deliveries.
-func (s *Source) SendData(payload []byte) uint32 {
-	seq := s.nextSeq
-	s.nextSeq++
-	// One causal episode per originated packet: every replica cascade
-	// downstream attributes to this origination.
-	prev := s.node.RootEpisode()
-	for _, e := range s.mft.Entries() {
-		if e.Marked {
-			continue
-		}
-		s.node.EmitProto(obs.KindReplicate, s.ch, e.Node, seq, "source copy")
-		d := &packet.Data{
-			Header: packet.Header{
-				Proto:   packet.ProtoNone,
-				Type:    packet.TypeData,
-				Channel: s.ch,
-				Src:     s.node.Addr(),
-				Dst:     e.Node,
-			},
-			Seq:     seq,
-			Payload: append([]byte(nil), payload...),
-		}
-		s.node.SendUnicast(d)
-	}
-	s.node.SetCausalContext(prev)
-	return seq
 }

@@ -113,10 +113,10 @@ func TestContinuousStreamDuringChurn(t *testing.T) {
 // converge to clean trees.
 func TestAlternateTimerConfigs(t *testing.T) {
 	configs := []Config{
-		{JoinInterval: 50, TreeInterval: 50, T1: 175, T2: 175, EnableFusion: true, CollapseRelays: true},
-		{JoinInterval: 200, TreeInterval: 200, T1: 700, T2: 700, EnableFusion: true, CollapseRelays: true},
-		{JoinInterval: 100, TreeInterval: 50, T1: 400, T2: 200, EnableFusion: true, CollapseRelays: true},
-		{JoinInterval: 100, TreeInterval: 100, T1: 350, T2: 350, EnableFusion: true, CollapseRelays: false},
+		{Timing: Timing{JoinInterval: 50, TreeInterval: 50, T1: 175, T2: 175}, EnableFusion: true, CollapseRelays: true},
+		{Timing: Timing{JoinInterval: 200, TreeInterval: 200, T1: 700, T2: 700}, EnableFusion: true, CollapseRelays: true},
+		{Timing: Timing{JoinInterval: 100, TreeInterval: 50, T1: 400, T2: 200}, EnableFusion: true, CollapseRelays: true},
+		{Timing: Timing{JoinInterval: 100, TreeInterval: 100, T1: 350, T2: 350}, EnableFusion: true, CollapseRelays: false},
 	}
 	for ci, cfg := range configs {
 		sc := topology.Fig2Scenario()

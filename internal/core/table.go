@@ -161,6 +161,9 @@ func (t *MFT) String() string {
 // MCT is the Multicast Control Table entry of a non-branching router:
 // the single downstream target whose tree messages traverse this node,
 // kept in the control plane only (never used for data forwarding).
+// HBH and REUNITE routers both keep one; under REUNITE the entry holds
+// the first target seen, and trees for other targets pass through
+// without installing state.
 type MCT struct {
 	// Node is the tree target recorded here.
 	Node addr.Addr
@@ -172,3 +175,35 @@ type MCT struct {
 
 // Stale reports whether the t1 phase has expired.
 func (m *MCT) Stale() bool { return m.Timer.Stale() }
+
+// seenDataCap bounds the per-channel duplicate-suppression window.
+const seenDataCap = 4096
+
+// DataWindow is a router's per-channel duplicate-suppression window:
+// the sequence numbers of the data packets it already replicated. A
+// router deletes a channel's window together with the rest of its
+// channel state.
+type DataWindow map[addr.Channel]map[uint32]bool
+
+// Seen records (ch, seq) and reports whether it was already recorded.
+func (w *DataWindow) Seen(ch addr.Channel, seq uint32) bool {
+	if *w == nil {
+		*w = make(DataWindow)
+	}
+	m := (*w)[ch]
+	if m == nil {
+		m = make(map[uint32]bool)
+		(*w)[ch] = m
+	}
+	if m[seq] {
+		return true
+	}
+	if len(m) >= seenDataCap {
+		// Reset the window rather than grow without bound; worst case
+		// a very old sequence number is replicated twice.
+		m = make(map[uint32]bool)
+		(*w)[ch] = m
+	}
+	m[seq] = true
+	return false
+}

@@ -110,19 +110,27 @@ func TestMFTString(t *testing.T) {
 	}
 }
 
+// TestConfigValidate checks the shared Timing.Validate that both HBH's
+// Config and REUNITE's routers, sources and receivers run.
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	bad := []Config{
+	bad := []Timing{
 		{JoinInterval: 0, TreeInterval: 100, T1: 350, T2: 350},
 		{JoinInterval: 100, TreeInterval: 0, T1: 350, T2: 350},
 		{JoinInterval: 100, TreeInterval: 100, T1: 50, T2: 350}, // T1 < interval
 		{JoinInterval: 100, TreeInterval: 100, T1: 350, T2: 0},
+		{JoinInterval: 0, TreeInterval: 1, T1: 10, T2: 10},
+		{JoinInterval: 1, TreeInterval: 1, T1: 1, T2: 10}, // T1 == interval
+		{JoinInterval: 1, TreeInterval: 1, T1: 10, T2: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
+			t.Errorf("bad timing %d accepted", i)
+		}
+		if err := (Config{Timing: c}).Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"hbh/internal/metrics"
+	"hbh/internal/netsim"
 )
 
 // LossRobustness runs the A6 extension experiment: HBH under
@@ -35,7 +36,7 @@ func LossRobustness(runs int, seed int64) *Figure {
 			sp := runSpec(RunConfig{Topo: TopoISP, Protocol: HBH, Receivers: 8, Seed: s})
 			sp.rng = rand.New(rand.NewSource(s))
 			sess := newSession(sp)
-			sess.net.SetControlLoss(float64(rate)/100, rand.New(rand.NewSource(s+1)))
+			sess.net.SetLossModel(netsim.LossModel{Control: float64(rate) / 100, RNG: rand.New(rand.NewSource(s + 1))})
 			sess.converge(defaultConvergeIntervals)
 			res := sess.Probe()
 

@@ -15,6 +15,7 @@ import (
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
+	"hbh/internal/packet"
 	"hbh/internal/pim"
 	"hbh/internal/reunite"
 	"hbh/internal/topology"
@@ -136,17 +137,16 @@ func hbhDriver(fusion bool) driver {
 		d.profile = invariant.ProfileHBHNoFusion()
 	}
 	d.routers = func(s *session, capable []topology.NodeID) attachFunc {
-		chg := func(addr.Addr, addr.Channel, core.ChangeKind, addr.Addr) { s.changed() }
 		routers := make([]*core.Router, len(capable))
 		for i, r := range capable {
 			routers[i] = core.AttachRouter(s.net.Node(r), cfg)
-			routers[i].SetObserver(chg)
+			routers[i].SetObserver(s.changed)
 		}
 		s.reset = func(v topology.NodeID) { routers[slices.Index(capable, v)].Reset() }
 		return func(src topology.NodeID, group addr.Addr, hosts []topology.NodeID,
 			skew float64, leaf bool) channel {
 			so := core.AttachSource(s.net.Node(src), group, cfg)
-			so.SetObserver(chg)
+			so.SetObserver(s.changed)
 			audit := core.NewAudit(so, routers)
 			c := channel{id: so.Channel(), send: func() uint32 { return so.SendData(nil) },
 				audit: audit, footprint: func() stateFootprint { return auditFootprint(audit) }}
@@ -180,27 +180,26 @@ func hbhDriver(fusion bool) driver {
 // reuniteDriver wires REUNITE; its members always attach directly (the
 // IGMP leaf agent is HBH's).
 func reuniteDriver() driver {
-	cfg := reunite.DefaultConfig()
+	cfg := core.DefaultTiming()
 	return driver{profile: invariant.ProfileREUNITE(),
 		interval: cfg.TreeInterval, joinEvery: cfg.JoinInterval, settleOut: 3 * (cfg.T1 + cfg.T2),
 		routers: func(s *session, capable []topology.NodeID) attachFunc {
-			chg := func(addr.Addr, addr.Channel, reunite.ChangeKind, addr.Addr) { s.changed() }
 			routers := make([]*reunite.Router, len(capable))
 			for i, r := range capable {
 				routers[i] = reunite.AttachRouter(s.net.Node(r), cfg)
-				routers[i].SetObserver(chg)
+				routers[i].SetObserver(s.changed)
 			}
 			return func(src topology.NodeID, group addr.Addr, hosts []topology.NodeID,
 				skew float64, _ bool) channel {
 				so := reunite.AttachSource(s.net.Node(src), group, cfg)
-				so.SetObserver(chg)
+				so.SetObserver(s.changed)
 				audit := reunite.NewAudit(so, routers)
 				c := channel{id: so.Channel(), send: func() uint32 { return so.SendData(nil) },
 					audit: audit, footprint: func() stateFootprint { return auditFootprint(audit) }}
 				for i, h := range hosts {
 					rc := cfg
 					rc.JoinInterval = skewedInterval(cfg.JoinInterval, skew, i)
-					r := reunite.AttachReceiver(s.net.Node(h), c.id, rc)
+					r := core.AttachMember(s.net.Node(h), c.id, rc, packet.ProtoREUNITE)
 					c.rcvs = append(c.rcvs, r)
 					c.members = append(c.members, r)
 				}
@@ -350,8 +349,9 @@ func (s *session) joinAll(rcvs []receiver, rng *rand.Rand) {
 	}
 }
 
-// changed records one forwarding-state mutation.
-func (s *session) changed() {
+// changed records one forwarding-state mutation; it is the
+// core.ChangeObserver of every source and router.
+func (s *session) changed(addr.Addr, addr.Channel, core.ChangeKind, addr.Addr) {
 	s.changes++
 	if s.checker != nil {
 		s.checker.MarkDirty()

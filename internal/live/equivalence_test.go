@@ -11,6 +11,7 @@ import (
 	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
+	"hbh/internal/packet"
 	"hbh/internal/reunite"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -225,7 +226,7 @@ func TestEquivalenceREUNITEFig3(t *testing.T) {
 		g         *topology.Graph
 		routers   map[topology.NodeID]*reunite.Router
 		src       *reunite.Source
-		receivers map[topology.NodeID]*reunite.Receiver
+		receivers map[topology.NodeID]*core.Receiver
 	}
 	run := func(liveMode bool) string {
 		sc := topology.Fig3Scenario()
@@ -242,14 +243,14 @@ func TestEquivalenceREUNITEFig3(t *testing.T) {
 			node = func(id topology.NodeID) netsim.ProtoNode { return net.Node(id) }
 		}
 		w := world{g: g, routers: make(map[topology.NodeID]*reunite.Router),
-			receivers: make(map[topology.NodeID]*reunite.Receiver)}
-		cfg := reunite.DefaultConfig()
+			receivers: make(map[topology.NodeID]*core.Receiver)}
+		cfg := core.DefaultTiming()
 		for _, r := range g.Routers() {
 			w.routers[r] = reunite.AttachRouter(node(r), cfg)
 		}
 		w.src = reunite.AttachSource(node(sc.Source), equivGroup, cfg)
 		for h, at := range map[topology.NodeID]eventsim.Time{sc.R1: 10, sc.R2: 130} {
-			rcv := reunite.AttachReceiver(node(h), w.src.Channel(), cfg)
+			rcv := core.AttachMember(node(h), w.src.Channel(), cfg, packet.ProtoREUNITE)
 			w.receivers[h] = rcv
 			sim.At(at, rcv.Join)
 		}

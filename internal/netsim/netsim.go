@@ -167,25 +167,6 @@ func (n *Network) SetLossModel(m LossModel) {
 	n.loss = m
 }
 
-// SetControlLoss makes every link traversal drop non-data packets with
-// probability p, using rng. Soft-state protocols are designed to
-// tolerate control-message loss — refreshes repair it — and the A6
-// experiment quantifies how well. Data packets are never dropped under
-// this setting (use SetLossModel to drop data too), so tree
-// measurements keep their meaning: what degrades under loss is the
-// protocol state that routes them.
-//
-// It is a compatibility wrapper over SetLossModel that preserves any
-// data-loss rate already configured.
-func (n *Network) SetControlLoss(p float64, rng *rand.Rand) {
-	m := n.loss
-	m.Control = p
-	if rng != nil {
-		m.RNG = rng
-	}
-	n.SetLossModel(m)
-}
-
 // SetHopLimit overrides the per-packet hop budget.
 func (n *Network) SetHopLimit(l int) {
 	if l < 1 {

@@ -6,9 +6,11 @@ import (
 	"testing/quick"
 
 	"hbh/internal/addr"
+	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/packet"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -28,7 +30,7 @@ func TestQuickChurnDelivers(t *testing.T) {
 		g.RandomizeCosts(rng, 1, 10)
 		sim := eventsim.New()
 		net := netsim.New(sim, g, unicast.Compute(g))
-		cfg := DefaultConfig()
+		cfg := core.DefaultTiming()
 		for _, r := range g.Routers() {
 			AttachRouter(net.Node(r), cfg)
 		}
@@ -38,12 +40,12 @@ func TestQuickChurnDelivers(t *testing.T) {
 		pool := append([]topology.NodeID(nil), g.Hosts()[1:]...)
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		type mem struct {
-			r      *Receiver
+			r      *core.Receiver
 			leaves bool
 		}
 		var members []mem
 		for i := 0; i < n && i < len(pool); i++ {
-			rcv := AttachReceiver(net.Node(pool[i]), src.Channel(), cfg)
+			rcv := core.AttachMember(net.Node(pool[i]), src.Channel(), cfg, packet.ProtoREUNITE)
 			joinAt := eventsim.Time(rng.Float64() * 400)
 			sim.At(joinAt, rcv.Join)
 			m := mem{r: rcv, leaves: rng.Intn(3) == 0 && i > 0}

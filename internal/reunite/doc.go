@@ -25,4 +25,14 @@
 // (t1, t2) timers. A stale dst makes the node emit marked tree
 // messages, which dissolve downstream state so that orphaned members
 // re-join at the source — the reconfiguration walk of Figure 2(b)-(d).
+//
+// The package is written as the delta from HBH. What the two protocols
+// share lives in package core and is used from here directly: the
+// member agent (core.AttachMember with packet.ProtoREUNITE; REUNITE
+// joins carry no first-join flag), the soft-state constants
+// (core.Timing), the change vocabulary, the MCT entry, the dedup
+// window, the source skeleton (core.Origin) and the audit's States and
+// Residuals (core.ChannelAudit). This package adds the dst-first MFT,
+// the router's join-interception and tree rules, marked-tree emission
+// and the delivery-tree walk.
 package reunite

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hbh/internal/addr"
+	"hbh/internal/core"
 	"hbh/internal/mtree"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
@@ -20,8 +21,8 @@ func TestCheckerAsymmetric(t *testing.T) {
 
 	src := AttachSource(h.net.Node(sHost), addr.GroupAddr(0), h.cfg)
 	chk := h.watch(src)
-	r1 := AttachReceiver(h.net.Node(g.MustByAddr(addr.ReceiverAddr(2))), src.Channel(), h.cfg)
-	r2 := AttachReceiver(h.net.Node(g.MustByAddr(addr.ReceiverAddr(3))), src.Channel(), h.cfg)
+	r1 := core.AttachMember(h.net.Node(g.MustByAddr(addr.ReceiverAddr(2))), src.Channel(), h.cfg, packet.ProtoREUNITE)
+	r2 := core.AttachMember(h.net.Node(g.MustByAddr(addr.ReceiverAddr(3))), src.Channel(), h.cfg, packet.ProtoREUNITE)
 
 	h.sim.At(10, r1.Join)
 	h.sim.At(130, r2.Join)
@@ -46,8 +47,8 @@ func TestCheckerDupGraph(t *testing.T) {
 
 	src := AttachSource(h.net.Node(sHost), addr.GroupAddr(0), h.cfg)
 	chk := h.watch(src)
-	r1 := AttachReceiver(h.net.Node(g.MustByAddr(addr.ReceiverAddr(2))), src.Channel(), h.cfg)
-	r2 := AttachReceiver(h.net.Node(g.MustByAddr(addr.ReceiverAddr(3))), src.Channel(), h.cfg)
+	r1 := core.AttachMember(h.net.Node(g.MustByAddr(addr.ReceiverAddr(2))), src.Channel(), h.cfg, packet.ProtoREUNITE)
+	r2 := core.AttachMember(h.net.Node(g.MustByAddr(addr.ReceiverAddr(3))), src.Channel(), h.cfg, packet.ProtoREUNITE)
 
 	h.sim.At(10, r1.Join)
 	h.sim.At(130, r2.Join)
@@ -72,8 +73,8 @@ func TestQuiescentAfterAllLeave(t *testing.T) {
 
 	src := AttachSource(h.net.Node(srcHost), addr.GroupAddr(0), h.cfg)
 	chk := h.watch(src)
-	r2 := AttachReceiver(h.net.Node(hostOf(g, 2)), src.Channel(), h.cfg)
-	r4 := AttachReceiver(h.net.Node(hostOf(g, 4)), src.Channel(), h.cfg)
+	r2 := core.AttachMember(h.net.Node(hostOf(g, 2)), src.Channel(), h.cfg, packet.ProtoREUNITE)
+	r4 := core.AttachMember(h.net.Node(hostOf(g, 4)), src.Channel(), h.cfg, packet.ProtoREUNITE)
 	h.sim.At(10, r2.Join)
 	h.sim.At(130, r4.Join)
 	h.converge(t)
@@ -109,8 +110,8 @@ func TestRejoinReplay(t *testing.T) {
 	src := AttachSource(h.net.Node(srcHost), addr.GroupAddr(0), h.cfg)
 	ch := src.Channel()
 	h.watch(src)
-	r2 := AttachReceiver(h.net.Node(hostOf(g, 2)), ch, h.cfg)
-	r4 := AttachReceiver(h.net.Node(hostOf(g, 4)), ch, h.cfg)
+	r2 := core.AttachMember(h.net.Node(hostOf(g, 2)), ch, h.cfg, packet.ProtoREUNITE)
+	r4 := core.AttachMember(h.net.Node(hostOf(g, 4)), ch, h.cfg, packet.ProtoREUNITE)
 	h.sim.At(10, r2.Join)
 	h.sim.At(130, r4.Join)
 	h.converge(t)

@@ -3,6 +3,7 @@ package reunite
 import (
 	"hbh/internal/addr"
 	"hbh/internal/clock"
+	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
@@ -12,7 +13,7 @@ import (
 // chanState is a REUNITE router's per-channel state: an MCT while
 // non-branching, an MFT once branching (never both).
 type chanState struct {
-	mct *MCT
+	mct *core.MCT
 	mft *MFT
 	// lastRegen rate-limits downstream tree regeneration to once per
 	// refresh interval: soft-state refreshes are periodic, and
@@ -23,67 +24,21 @@ type chanState struct {
 	hasRegen  bool
 }
 
-// ChangeKind classifies forwarding-state changes for the stability
-// experiment (Fig. 4), mirroring core.ChangeKind.
-type ChangeKind uint8
-
-// The REUNITE state-change kinds.
-const (
-	// ChangeMCTCreate is the installation of control state.
-	ChangeMCTCreate ChangeKind = iota
-	// ChangeMCTRemove is the destruction of control state.
-	ChangeMCTRemove
-	// ChangeMFTAdd is a new forwarding entry.
-	ChangeMFTAdd
-	// ChangeMFTRemove is the expiry of a forwarding entry.
-	ChangeMFTRemove
-	// ChangeBecomeBranching is a non-branching -> branching transition.
-	ChangeBecomeBranching
-	// ChangeTableStale marks a table going stale on a marked tree.
-	ChangeTableStale
-	// ChangeTableDestroy is the destruction of a whole MFT.
-	ChangeTableDestroy
-)
-
-func (k ChangeKind) String() string {
-	switch k {
-	case ChangeMCTCreate:
-		return "mct-create"
-	case ChangeMCTRemove:
-		return "mct-remove"
-	case ChangeMFTAdd:
-		return "mft-add"
-	case ChangeMFTRemove:
-		return "mft-remove"
-	case ChangeBecomeBranching:
-		return "become-branching"
-	case ChangeTableStale:
-		return "table-stale"
-	case ChangeTableDestroy:
-		return "table-destroy"
-	default:
-		return "change(?)"
-	}
-}
-
-// ChangeObserver receives forwarding-state change notifications.
-type ChangeObserver func(where addr.Addr, ch addr.Channel, kind ChangeKind, node addr.Addr)
-
 // Router is the REUNITE protocol engine resident on a multicast-capable
 // router.
 type Router struct {
-	cfg      Config
+	cfg      core.Timing
 	node     netsim.ProtoNode
 	clk      clock.Clock
 	chans    map[addr.Channel]*chanState
-	seen     map[addr.Channel]map[uint32]bool
-	observer ChangeObserver
+	seen     core.DataWindow
+	observer core.ChangeObserver
 }
 
 // SetObserver installs the state-change observer (nil clears it).
-func (r *Router) SetObserver(o ChangeObserver) { r.observer = o }
+func (r *Router) SetObserver(o core.ChangeObserver) { r.observer = o }
 
-func (r *Router) observe(ch addr.Channel, kind ChangeKind, node addr.Addr) {
+func (r *Router) observe(ch addr.Channel, kind core.ChangeKind, node addr.Addr) {
 	if r.observer != nil {
 		r.observer(r.node.Addr(), ch, kind, node)
 	}
@@ -91,7 +46,7 @@ func (r *Router) observe(ch addr.Channel, kind ChangeKind, node addr.Addr) {
 
 // AttachRouter creates a REUNITE Router on n and registers it as a
 // packet handler.
-func AttachRouter(n netsim.ProtoNode, cfg Config) *Router {
+func AttachRouter(n netsim.ProtoNode, cfg core.Timing) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -114,9 +69,27 @@ func (r *Router) MFTFor(ch addr.Channel) *MFT {
 	return nil
 }
 
+// Addr returns the router's unicast address.
+func (r *Router) Addr() addr.Addr { return r.node.Addr() }
+
+// ChannelTables implements core.Tables.
+func (r *Router) ChannelTables(ch addr.Channel) (*core.MCT, *core.MFT, bool) {
+	st := r.chans[ch]
+	switch {
+	case st == nil:
+		return nil, nil, false
+	case st.mft == nil:
+		return st.mct, nil, true
+	}
+	return st.mct, &st.mft.MFT, true
+}
+
+// Window implements core.Tables.
+func (r *Router) Window() core.DataWindow { return r.seen }
+
 // MCTFor exposes the channel's control table for tests (nil when
 // absent).
-func (r *Router) MCTFor(ch addr.Channel) *MCT {
+func (r *Router) MCTFor(ch addr.Channel) *core.MCT {
 	if st := r.chans[ch]; st != nil {
 		return st.mct
 	}
@@ -198,14 +171,14 @@ func (r *Router) becomeBranching(st *chanState, ch addr.Channel, joiner addr.Add
 	dstCause := st.mct.Cause
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, ChangeMCTRemove, dst)
-	r.observe(ch, ChangeBecomeBranching, r.node.Addr())
+	r.observe(ch, core.ChangeMCTRemove, dst)
+	r.observe(ch, core.ChangeBecomeBranching, r.node.Addr())
 	r.node.EmitProto(obs.KindBranch, ch, joiner, 0, "second receiver's join crossed live control state")
 	st.mft = NewMFT()
 	// dst keeps the provenance its MCT entry carried, so its refresh
 	// chain stays attributed to its own episode.
 	st.mft.Add(dst, r.newEntryTimer(ch, dst)).Cause = dstCause
-	r.observe(ch, ChangeMFTAdd, dst)
+	r.observe(ch, core.ChangeMFTAdd, dst)
 	st.mft.Liveness = clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, func() {
 		// No tree for dst within t1: this node has fallen off the
 		// channel's refresh path. A table in that state must stop
@@ -220,7 +193,7 @@ func (r *Router) becomeBranching(st *chanState, ch addr.Channel, joiner addr.Add
 			// Timer-driven: roots its own causal episode.
 			prev := r.node.RootEpisode()
 			st.mft.TableStale = true
-			r.observe(ch, ChangeTableStale, r.node.Addr())
+			r.observe(ch, core.ChangeTableStale, r.node.Addr())
 			r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "table stale: off the refresh path")
 			r.node.SetCausalContext(prev)
 		}
@@ -266,7 +239,7 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 				// stale so joins escalate past us (Figure 2(b)).
 				if !st.mft.TableStale {
 					st.mft.TableStale = true
-					r.observe(ch, ChangeTableStale, dst.Node)
+					r.observe(ch, core.ChangeTableStale, dst.Node)
 					r.node.EmitProto(obs.KindCollapse, ch, dst.Node, 0, "table stale: marked tree for dst")
 				}
 			} else {
@@ -277,7 +250,7 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 			// Regenerate one tree per additional receiver; a stale
 			// entry's tree is marked, dissolving its downstream state.
 			// Rate-limited to the refresh period. Each regenerated tree
-			// attributes to its entry's own episode (see Entry.Cause).
+			// attributes to its entry's own episode (see core.Entry.Cause).
 			now := r.clk.Now()
 			if !st.hasRegen || now-st.lastRegen >= r.cfg.TreeInterval*9/10 {
 				st.hasRegen = true
@@ -328,7 +301,7 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 }
 
 func (r *Router) createMCT(st *chanState, ch addr.Channel, node addr.Addr) {
-	st.mct = &MCT{Node: node, Timer: clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, nil, func() {
+	st.mct = &core.MCT{Node: node, Timer: clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, nil, func() {
 		if st.mct != nil && st.mct.Node == node {
 			// Timer-driven expiry roots its own episode.
 			prev := r.node.RootEpisode()
@@ -336,7 +309,7 @@ func (r *Router) createMCT(st *chanState, ch addr.Channel, node addr.Addr) {
 			r.node.SetCausalContext(prev)
 		}
 	})}
-	r.observe(ch, ChangeMCTCreate, node)
+	r.observe(ch, core.ChangeMCTCreate, node)
 	st.mct.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mct")
 }
 
@@ -347,7 +320,7 @@ func (r *Router) removeMCT(ch addr.Channel, st *chanState) {
 	node := st.mct.Node
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, ChangeMCTRemove, node)
+	r.observe(ch, core.ChangeMCTRemove, node)
 	r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mct")
 	r.maybeDrop(ch, st)
 }
@@ -366,7 +339,7 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 	if dst == nil || dst.Node != d.Dst {
 		return netsim.Continue
 	}
-	if r.seenData(d.Channel, d.Seq) {
+	if r.seen.Seen(d.Channel, d.Seq) {
 		return netsim.Continue
 	}
 	for _, e := range st.mft.Entries()[1:] {
@@ -377,31 +350,6 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		r.node.SendUnicast(copyMsg)
 	}
 	return netsim.Continue
-}
-
-// seenDataCap bounds the per-channel duplicate-suppression window.
-const seenDataCap = 4096
-
-// seenData records (channel, seq) and reports whether this node
-// already replicated that packet.
-func (r *Router) seenData(ch addr.Channel, seq uint32) bool {
-	if r.seen == nil {
-		r.seen = make(map[addr.Channel]map[uint32]bool)
-	}
-	m := r.seen[ch]
-	if m == nil {
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	if m[seq] {
-		return true
-	}
-	if len(m) >= seenDataCap {
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	m[seq] = true
-	return false
 }
 
 func (r *Router) sendTree(ch addr.Channel, target addr.Addr, marked bool) {
@@ -435,7 +383,7 @@ func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer
 		// Timer-driven expiry roots its own causal episode.
 		prev := r.node.RootEpisode()
 		st.mft.Remove(node)
-		r.observe(ch, ChangeMFTRemove, node)
+		r.observe(ch, core.ChangeMFTRemove, node)
 		r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mft")
 		if st.mft.Len() == 0 {
 			r.destroyMFT(ch)
@@ -446,7 +394,7 @@ func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer
 
 func (r *Router) addMFTEntry(st *chanState, ch addr.Channel, node addr.Addr) {
 	e := st.mft.Add(node, r.newEntryTimer(ch, node))
-	r.observe(ch, ChangeMFTAdd, node)
+	r.observe(ch, core.ChangeMFTAdd, node)
 	e.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mft")
 }
 
@@ -457,7 +405,7 @@ func (r *Router) destroyMFT(ch addr.Channel) {
 	}
 	st.mft.Destroy()
 	st.mft = nil
-	r.observe(ch, ChangeTableDestroy, r.node.Addr())
+	r.observe(ch, core.ChangeTableDestroy, r.node.Addr())
 	r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "mft destroyed")
 	r.maybeDrop(ch, st)
 }

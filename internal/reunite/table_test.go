@@ -82,28 +82,3 @@ func TestMFTString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
-
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
-	}
-	bad := []Config{
-		{JoinInterval: 0, TreeInterval: 1, T1: 10, T2: 10},
-		{JoinInterval: 1, TreeInterval: 1, T1: 1, T2: 10},
-		{JoinInterval: 1, TreeInterval: 1, T1: 10, T2: 0},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
-// TestDefaultsMatchHBH: fairness requires REUNITE and HBH to run under
-// identical soft-state timing in the comparisons.
-func TestDefaultsMatchHBH(t *testing.T) {
-	c := DefaultConfig()
-	if c.JoinInterval != 100 || c.TreeInterval != 100 || c.T1 != 350 || c.T2 != 350 {
-		t.Errorf("defaults drifted: %+v", c)
-	}
-}

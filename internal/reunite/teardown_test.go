@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"hbh/internal/addr"
+	"hbh/internal/core"
 	"hbh/internal/mtree"
+	"hbh/internal/packet"
 	"hbh/internal/topology"
 )
 
@@ -21,8 +23,8 @@ func TestFig2Timeline(t *testing.T) {
 	g := sc.Graph
 	h := newHarness(t, g)
 	src := AttachSource(h.net.Node(sc.Source), addr.GroupAddr(0), h.cfg)
-	r1 := AttachReceiver(h.net.Node(sc.R1), src.Channel(), h.cfg)
-	r2 := AttachReceiver(h.net.Node(sc.R2), src.Channel(), h.cfg)
+	r1 := core.AttachMember(h.net.Node(sc.R1), src.Channel(), h.cfg, packet.ProtoREUNITE)
+	r2 := core.AttachMember(h.net.Node(sc.R2), src.Channel(), h.cfg, packet.ProtoREUNITE)
 
 	routerC := h.routerAt(2) // router C
 
@@ -82,8 +84,8 @@ func TestMCTSingleEntrySemantics(t *testing.T) {
 	g := sc.Graph
 	h := newHarness(t, g)
 	src := AttachSource(h.net.Node(sc.Source), addr.GroupAddr(0), h.cfg)
-	r1 := AttachReceiver(h.net.Node(sc.R1), src.Channel(), h.cfg)
-	r2 := AttachReceiver(h.net.Node(sc.R2), src.Channel(), h.cfg)
+	r1 := core.AttachMember(h.net.Node(sc.R1), src.Channel(), h.cfg, packet.ProtoREUNITE)
+	r2 := core.AttachMember(h.net.Node(sc.R2), src.Channel(), h.cfg, packet.ProtoREUNITE)
 
 	h.sim.At(10, r1.Join)
 	h.sim.At(130, r2.Join)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hbh/internal/addr"
+	"hbh/internal/core"
 	"hbh/internal/mtree"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
@@ -19,8 +20,8 @@ func TestDataAlwaysAddressedToReceivers(t *testing.T) {
 	g := topology.Line(5, true)
 	h := newHarness(t, g)
 	src := AttachSource(h.net.Node(hostOf(g, 0)), addr.GroupAddr(0), h.cfg)
-	r2 := AttachReceiver(h.net.Node(hostOf(g, 2)), src.Channel(), h.cfg)
-	r4 := AttachReceiver(h.net.Node(hostOf(g, 4)), src.Channel(), h.cfg)
+	r2 := core.AttachMember(h.net.Node(hostOf(g, 2)), src.Channel(), h.cfg, packet.ProtoREUNITE)
+	r4 := core.AttachMember(h.net.Node(hostOf(g, 4)), src.Channel(), h.cfg, packet.ProtoREUNITE)
 	h.sim.At(10, r2.Join)
 	h.sim.At(25, r4.Join)
 	h.converge(t)
